@@ -8,6 +8,9 @@ export CARGO_NET_OFFLINE=true
 
 cargo build --release --workspace
 cargo test -q --workspace
+# perfbench is a package of its own that compiles against the aprofd
+# library API (Daemon, DaemonConfig, serve, Conn, JobSpec).
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
 
@@ -106,7 +109,25 @@ printf 'family stream\nsizes 6,10,14\nseeds 1,2\njobs 2\n' > "$spec"
 daemon_a=$!
 for _ in $(seq 1 500); do [ -s target/repro/aprofd/addr-a ] && break; sleep 0.01; done
 job=$("$aprofctl" --addr-file target/repro/aprofd/addr-a submit "$spec")
-"$aprofctl" --addr-file target/repro/aprofd/addr-a wait "$job" > /dev/null
+fp_a=$("$aprofctl" --addr-file target/repro/aprofd/addr-a wait "$job" | grep "^fingerprint ")
+"$aprofctl" --addr-file target/repro/aprofd/addr-a shutdown > /dev/null
+wait "$daemon_a"
+
+# A finished job is served from its durable files, not from memory: a
+# daemon restarted on state-a still reports it done with the same
+# fingerprint, and counts it on /healthz.
+rm -f target/repro/aprofd/addr-a
+"$aprofd" --state-dir target/repro/aprofd/state-a \
+    --addr-file target/repro/aprofd/addr-a --workers 2 > /dev/null &
+daemon_a=$!
+for _ in $(seq 1 500); do [ -s target/repro/aprofd/addr-a ] && break; sleep 0.01; done
+status_a=$("$aprofctl" --addr-file target/repro/aprofd/addr-a status "$job")
+echo "$status_a" | grep -q "^state done$" \
+    || { echo "ci: restarted daemon lost the finished job: $status_a" >&2; exit 1; }
+echo "$status_a" | grep -qx "$fp_a" \
+    || { echo "ci: finished job's fingerprint changed across a restart: $status_a" >&2; exit 1; }
+"$aprofctl" --addr-file target/repro/aprofd/addr-a health | grep -qx "done 1" \
+    || { echo "ci: restarted daemon does not count the finished job" >&2; exit 1; }
 "$aprofctl" --addr-file target/repro/aprofd/addr-a shutdown > /dev/null
 wait "$daemon_a"
 

@@ -23,6 +23,13 @@
 //! unfinished job — artifacts come out byte-identical to an
 //! uninterrupted run.
 //!
+//! Memory holds live jobs only: queued and running ones (plus the rare
+//! terminal job whose marker never became durable). A job leaves the
+//! in-memory table once its `.done` / `.failed` marker is on disk; from
+//! then on every endpoint answers from `job-<id>.spec` plus that marker,
+//! read by one loader (`Daemon::load_finished`). Daemon memory thus
+//! stays bounded by the queue, however many jobs have finished.
+//!
 //! Retention GC prunes finished jobs beyond [`DaemonConfig::retain_count`]
 //! / older than [`DaemonConfig::retain_age`]. Each pruned ID is first
 //! appended (fsynced) to the `gc.tombstones` journal, *then* its files
@@ -67,6 +74,11 @@ pub const DISK_FULL_RETRY_MS: u64 = 5_000;
 /// Sleep quantum of the `/jobs/{id}/events` long-poll loop: new journal
 /// cells are noticed within this bound without a wakeup channel.
 const POLL_STEP: Duration = Duration::from_millis(20);
+
+/// The line a terminal marker opens (`.failed`) or ends (`.done`) with
+/// when the job picked up from its journal in this daemon generation —
+/// the one status fact a finished job's spec and counter cannot tell.
+const RESUMED_LINE: &str = "resumed 1\n";
 
 /// Daemon configuration (CLI flags map 1:1 onto this).
 #[derive(Clone, Debug)]
@@ -200,6 +212,9 @@ impl JobSummary {
     }
 }
 
+/// One job's record: resident while the job is live, rebuilt from its
+/// durable files by [`Daemon::load_finished`] once it has finished.
+#[derive(Clone)]
 struct JobEntry {
     spec: JobSpec,
     submitted: u64,
@@ -217,20 +232,31 @@ struct RunningJob {
 }
 
 struct Inner {
+    /// Live jobs: queued, running, and terminal ones without a durable
+    /// marker (marker write failed, spec unloadable). Finished jobs are
+    /// on disk only.
     entries: BTreeMap<String, JobEntry>,
     queue: AdmissionQueue,
     counter: u64,
     /// Jobs currently on a worker, keyed by job ID.
     running: BTreeMap<String, RunningJob>,
+    /// Finished jobs held on disk only (durable done/failed marker).
+    finished: usize,
+    /// Of `finished`, the done ones.
+    done: usize,
 }
 
 /// How one dispatch of a job ended.
 enum JobOutcome {
-    Done(JobSummary),
+    /// Artifacts and the done marker are durable.
+    Done,
     /// The job yielded to a cooperative preempt at a cell boundary; its
     /// journal is the checkpoint and it returns to the queue.
     Preempted,
-    Failed(String),
+    /// The job failed; `durable` says whether its `.failed` marker
+    /// reached the disk (if not, the job stays in memory and re-runs on
+    /// restart).
+    Failed { msg: String, durable: bool },
 }
 
 /// The brownout ladder, derived from queue depth against capacity only
@@ -269,14 +295,22 @@ pub struct Daemon {
     /// Current brownout tier (see [`brownout_tier`]), updated whenever
     /// queue depth changes so connection handlers read it lock-free.
     brownout: AtomicUsize,
+    /// The submission counter as restored at startup: every job
+    /// submitted at or below it was restored, so its status reads
+    /// `resumed 1`.
+    restored_counter: u64,
+    /// Serializes retention passes: each appends to the one tombstone
+    /// journal and decrements the finished counters per pruned job.
+    gc_pass: Mutex<()>,
 }
 
 impl Daemon {
     /// Creates the daemon over `cfg.state_dir`, creating the directory
     /// and restoring every journaled job found in it: done/failed jobs
-    /// load as records, unfinished ones re-queue for resume in
-    /// submission order, and the submission counter continues past the
-    /// highest restored value (so new job IDs never collide).
+    /// are only counted (they stay on disk), unfinished ones re-queue
+    /// for resume in submission order, and the submission counter
+    /// continues past the highest restored value (so new job IDs never
+    /// collide).
     pub fn new(cfg: DaemonConfig) -> std::io::Result<Arc<Daemon>> {
         std::fs::create_dir_all(&cfg.state_dir)?;
         let mut inner = Inner {
@@ -284,6 +318,8 @@ impl Daemon {
             queue: AdmissionQueue::new(cfg.queue.clone()),
             counter: 0,
             running: BTreeMap::new(),
+            finished: 0,
+            done: 0,
         };
         let mut metrics = Metrics::new();
 
@@ -318,19 +354,19 @@ impl Daemon {
                 continue;
             };
             let id = id.to_string();
-            if tombstoned.contains(&id) {
-                continue; // leftovers swept below
+            if !is_job_id(&id) || tombstoned.contains(&id) {
+                continue; // not a job this daemon minted / leftovers swept below
             }
             let text = std::fs::read_to_string(cfg.state_dir.join(&*name))?;
-            let mut submitted = 0u64;
-            let mut spec_lines = String::new();
-            for line in text.lines() {
-                if let Some(v) = line.strip_prefix("submitted ") {
-                    submitted = v.parse().unwrap_or(0);
-                } else {
-                    spec_lines.push_str(line);
-                    spec_lines.push('\n');
-                }
+            let (submitted, spec_lines) = split_spec_file(&text);
+            // Finished jobs stay on disk: count their markers, leave
+            // their specs unparsed until a request asks for them.
+            let marker = |suffix: &str| cfg.state_dir.join(format!("job-{id}.{suffix}")).exists();
+            if marker("done") || marker("failed") {
+                inner.counter = inner.counter.max(submitted);
+                inner.finished += 1;
+                inner.done += marker("done") as usize;
+                continue;
             }
             let spec = match JobSpec::parse(&spec_lines) {
                 Ok(s) => s,
@@ -352,24 +388,15 @@ impl Daemon {
                 }
             };
             inner.counter = inner.counter.max(submitted);
-            let done = cfg.state_dir.join(format!("job-{id}.done"));
-            let failed = cfg.state_dir.join(format!("job-{id}.failed"));
-            let (state, summary) = if let Ok(t) = std::fs::read_to_string(&done) {
-                (JobState::Done, Some(JobSummary::parse(&t)))
-            } else if let Ok(t) = std::fs::read_to_string(&failed) {
-                (JobState::Failed(t.trim().to_string()), None)
-            } else {
-                restored.push((submitted, id.clone(), spec.tenant.clone(), spec.priority));
-                (JobState::Queued, None)
-            };
+            restored.push((submitted, id.clone(), spec.tenant.clone(), spec.priority));
             inner.entries.insert(
                 id,
                 JobEntry {
                     spec,
                     submitted,
-                    state,
+                    state: JobState::Queued,
                     resumed: true,
-                    summary,
+                    summary: None,
                 },
             );
         }
@@ -381,6 +408,7 @@ impl Daemon {
             metrics.inc("aprofd.jobs.restored");
         }
         metrics.set_gauge("aprofd.queue.depth", inner.queue.queued() as u64);
+        metrics.set_gauge("aprofd.jobs.resident", inner.entries.len() as u64);
         let tier = brownout_tier(inner.queue.queued(), inner.queue.capacity());
         metrics.set_gauge("aprofd.brownout.tier", tier as u64);
 
@@ -395,10 +423,12 @@ impl Daemon {
         let daemon = Arc::new(Daemon {
             cfg,
             brownout: AtomicUsize::new(tier as usize),
+            restored_counter: inner.counter,
             inner: Mutex::new(inner),
             cv: Condvar::new(),
             metrics: Mutex::new(metrics),
             draining: AtomicBool::new(false),
+            gc_pass: Mutex::new(()),
         });
         daemon.gc();
         Ok(daemon)
@@ -414,6 +444,60 @@ impl Daemon {
         self.cfg.state_dir.join(format!("job-{id}.{suffix}"))
     }
 
+    /// One job's record: its resident entry while live, else its durable
+    /// files. An ID outside [`job_id`]'s format never reaches the disk.
+    fn lookup(&self, id: &str) -> Option<JobEntry> {
+        if !is_job_id(id) {
+            return None;
+        }
+        if let Some(e) = self.inner.lock().unwrap().entries.get(id) {
+            return Some(e.clone());
+        }
+        self.load_finished(id)
+    }
+
+    /// Rebuilds a finished job's record from `job-<id>.spec` plus its
+    /// terminal marker, the files the startup scan counts. `None` when
+    /// either is missing (unfinished, or pruned meanwhile). `resumed` is
+    /// 1 for a job restored at startup (submitted at or below the
+    /// restored counter) or one whose marker carries [`RESUMED_LINE`].
+    fn load_finished(&self, id: &str) -> Option<JobEntry> {
+        let (mut state, summary, marker_resumed) =
+            if let Ok(t) = std::fs::read_to_string(self.job_path(id, "done")) {
+                let resumed = t.ends_with(RESUMED_LINE);
+                (JobState::Done, Some(JobSummary::parse(&t)), resumed)
+            } else {
+                let t = std::fs::read_to_string(self.job_path(id, "failed")).ok()?;
+                let msg = t.strip_prefix(RESUMED_LINE);
+                let state = JobState::Failed(msg.unwrap_or(&t).trim().to_string());
+                (state, None, msg.is_some())
+            };
+        let text = std::fs::read_to_string(self.job_path(id, "spec")).ok()?;
+        let (submitted, spec_lines) = split_spec_file(&text);
+        let spec = JobSpec::parse(&spec_lines).unwrap_or_else(|e| {
+            state = JobState::Failed(format!("unloadable spec: {e}"));
+            JobSpec::default()
+        });
+        Some(JobEntry {
+            spec,
+            submitted,
+            state,
+            resumed: submitted <= self.restored_counter || marker_resumed,
+            summary,
+        })
+    }
+
+    /// [`RESUMED_LINE`] if the job's resident entry says it resumed
+    /// from its journal, else empty — the suffix of its terminal marker.
+    fn resumed_line(&self, id: &str) -> &'static str {
+        let inner = self.inner.lock().unwrap();
+        if inner.entries.get(id).is_some_and(|e| e.resumed) {
+            RESUMED_LINE
+        } else {
+            ""
+        }
+    }
+
     /// Retention GC: prunes finished (done/failed) jobs beyond
     /// [`DaemonConfig::retain_count`] or older than
     /// [`DaemonConfig::retain_age`]. Runs at startup and after every
@@ -425,21 +509,48 @@ impl Daemon {
     /// tombstoned leftovers the next startup sweeps — never a
     /// resurrected job. If the tombstone itself cannot be made durable
     /// (disk full), nothing is deleted.
+    ///
+    /// Victims come from the state dir: a finished job is one with a
+    /// durable marker and no resident entry. Resident jobs are never
+    /// pruned — a worker that has just written a marker still holds its
+    /// entry until it has counted the job, and a failed job whose marker
+    /// did not land re-runs on restart.
     pub fn gc(&self) -> usize {
         if self.cfg.retain_count.is_none() && self.cfg.retain_age.is_none() {
             return 0;
         }
-        // Pick victims under the lock; finished jobs cannot change
-        // state, so acting on the snapshot afterwards is safe.
-        let mut finished: Vec<(u64, String)> = {
-            let inner = self.inner.lock().unwrap();
-            inner
-                .entries
-                .iter()
-                .filter(|(_, e)| matches!(e.state, JobState::Done | JobState::Failed(_)))
-                .map(|(id, e)| (e.submitted, id.clone()))
-                .collect()
+        let _pass = self.gc_pass.lock().unwrap();
+        // id → (done?, marker path); `.done` wins over `.failed`, as in
+        // `load_finished`.
+        let mut markers: BTreeMap<String, (bool, PathBuf)> = BTreeMap::new();
+        let Ok(dir) = std::fs::read_dir(&self.cfg.state_dir) else {
+            return 0;
         };
+        for entry in dir.flatten() {
+            let name = entry.file_name();
+            let Some(rest) = name.to_str().and_then(|n| n.strip_prefix("job-")) else {
+                continue;
+            };
+            let (id, done) = match (rest.strip_suffix(".done"), rest.strip_suffix(".failed")) {
+                (Some(id), _) => (id, true),
+                (_, Some(id)) => (id, false),
+                _ => continue,
+            };
+            if is_job_id(id) && !markers.get(id).is_some_and(|(d, _)| *d) {
+                markers.insert(id.to_string(), (done, entry.path()));
+            }
+        }
+        {
+            let inner = self.inner.lock().unwrap();
+            markers.retain(|id, _| !inner.entries.contains_key(id));
+        }
+        let mut finished: Vec<(u64, String)> = markers
+            .keys()
+            .filter_map(|id| {
+                let text = std::fs::read_to_string(self.job_path(id, "spec")).ok()?;
+                Some((split_spec_file(&text).0, id.clone()))
+            })
+            .collect();
         finished.sort();
         let mut victims: BTreeSet<String> = BTreeSet::new();
         if let Some(keep) = self.cfg.retain_count {
@@ -450,11 +561,9 @@ impl Daemon {
         if let Some(age) = self.cfg.retain_age {
             let now = SystemTime::now();
             for (_, id) in &finished {
-                let marker = ["done", "failed"]
-                    .iter()
-                    .map(|s| self.job_path(id, s))
-                    .find(|p| p.exists());
-                let Some(mtime) = marker.and_then(|p| std::fs::metadata(p).ok()?.modified().ok())
+                let Some(mtime) = std::fs::metadata(&markers[id].1)
+                    .ok()
+                    .and_then(|m| m.modified().ok())
                 else {
                     continue;
                 };
@@ -495,7 +604,12 @@ impl Daemon {
                 break;
             }
             remove_job_files(&self.cfg.state_dir, id);
-            self.inner.lock().unwrap().entries.remove(id);
+            let mut inner = self.inner.lock().unwrap();
+            inner.finished = inner.finished.saturating_sub(1);
+            if markers[id].0 {
+                inner.done = inner.done.saturating_sub(1);
+            }
+            drop(inner);
             pruned += 1;
         }
         if pruned > 0 {
@@ -588,7 +702,7 @@ impl Daemon {
                         .map(|s| (*s).to_string())
                         .or_else(|| p.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "worker panicked".to_string());
-                    JobOutcome::Failed(self.fail_job(&dispatch.job, format!("panic: {msg}")))
+                    self.fail_job(&dispatch.job, format!("panic: {msg}"))
                 });
             let preempted = matches!(outcome, JobOutcome::Preempted);
             {
@@ -596,13 +710,18 @@ impl Daemon {
                 inner.queue.finished(&dispatch.tenant);
                 inner.running.remove(&dispatch.job);
                 match outcome {
-                    JobOutcome::Done(summary) => {
-                        if let Some(e) = inner.entries.get_mut(&dispatch.job) {
-                            e.state = JobState::Done;
-                            e.summary = Some(summary);
+                    // The marker is durable: the job leaves memory and
+                    // is served from disk from now on.
+                    JobOutcome::Done | JobOutcome::Failed { durable: true, .. } => {
+                        if inner.entries.remove(&dispatch.job).is_some() {
+                            inner.finished += 1;
+                            inner.done += matches!(outcome, JobOutcome::Done) as usize;
                         }
                     }
-                    JobOutcome::Failed(msg) => {
+                    JobOutcome::Failed {
+                        msg,
+                        durable: false,
+                    } => {
                         if let Some(e) = inner.entries.get_mut(&dispatch.job) {
                             e.state = JobState::Failed(msg);
                         }
@@ -674,12 +793,15 @@ impl Daemon {
     /// durably in the `.failed` marker. A yielded job writes nothing
     /// beyond its journal: the journal *is* the checkpoint.
     fn run_job(&self, id: &str, signal: &PreemptSignal) -> JobOutcome {
-        let spec = {
-            let inner = self.inner.lock().unwrap();
-            match inner.entries.get(id) {
-                Some(e) => e.spec.clone(),
-                None => return JobOutcome::Failed("job vanished from the store".to_string()),
-            }
+        let spec = self
+            .inner
+            .lock()
+            .unwrap()
+            .entries
+            .get(id)
+            .map(|e| e.spec.clone());
+        let Some(spec) = spec else {
+            return self.fail_job(id, "job vanished from the store".to_string());
         };
         let sweep_spec = spec.sweep_spec();
         let mut opts = spec.supervisor_options();
@@ -711,7 +833,7 @@ impl Daemon {
                     m.inc("aprofd.jobs.resumed");
                     if let Err(e) = m.merge(&report.metrics) {
                         drop(m);
-                        return JobOutcome::Failed(format!("resume metrics merge: {e}"));
+                        return self.fail_job(id, format!("resume metrics merge: {e}"));
                     }
                     drop(m);
                     // This dispatch picked up from the journal — a
@@ -725,18 +847,12 @@ impl Daemon {
                         SupervisedRun::Yielded { .. } => return JobOutcome::Preempted,
                     }
                 }
-                Err(e) => {
-                    let msg = render_error_chain(&e);
-                    let _ = atomic_write_with(&io, &self.job_path(id, "failed"), &msg);
-                    return JobOutcome::Failed(msg);
-                }
+                Err(e) => return self.fail_job(id, render_error_chain(&e)),
             }
         } else {
             let mut writer = match JournalWriter::create_with(&io, &journal_path) {
                 Ok(w) => w,
-                Err(e) => {
-                    return JobOutcome::Failed(self.fail_job(id, format!("journal create: {e}")))
-                }
+                Err(e) => return self.fail_job(id, format!("journal create: {e}")),
             };
             match run_supervised_preemptible(&sweep_spec, &opts, Some(&mut writer), &profile_cell) {
                 SupervisedRun::Completed(result) => (*result, false),
@@ -762,32 +878,35 @@ impl Daemon {
             atomic_write_with(&io, &self.job_path(id, suffix), contents)
                 .map_err(|e| self.fail_job(id, format!("artifact `{suffix}`: {e}")))
         };
+        let done = format!("{}{}", summary.to_text(), self.resumed_line(id));
         let wrote = write("bench.json", &bench.to_json())
             .and_then(|()| write("report.txt", &report_text))
             .and_then(|()| write("metrics.json", &metrics_json))
-            .and_then(|()| write("done", &summary.to_text()));
+            .and_then(|()| write("done", &done));
         match wrote {
-            Ok(()) => JobOutcome::Done(summary),
-            Err(msg) => JobOutcome::Failed(msg),
+            Ok(()) => JobOutcome::Done,
+            Err(failed) => failed,
         }
     }
 
-    /// Records a job failure durably and returns the message (for use
-    /// as the in-memory state). Best-effort on purpose: the failure may
-    /// *be* a full disk, and the partial outcome is already flushed in
-    /// the journal — the in-memory state and restart-resume both carry
-    /// the job regardless.
-    fn fail_job(&self, id: &str, msg: String) -> String {
-        let _ = atomic_write_with(&self.cfg.host_io, &self.job_path(id, "failed"), &msg);
-        msg
+    /// Records a job failure in its `.failed` marker. Best-effort on
+    /// purpose: the failure may *be* a full disk, and the partial
+    /// outcome is already flushed in the journal. If the marker does not
+    /// land, the job stays in memory as failed and re-runs on restart.
+    fn fail_job(&self, id: &str, msg: String) -> JobOutcome {
+        let marker = format!("{}{msg}", self.resumed_line(id));
+        let durable =
+            atomic_write_with(&self.cfg.host_io, &self.job_path(id, "failed"), &marker).is_ok();
+        JobOutcome::Failed { msg, durable }
     }
 
     fn publish_depth(&self) {
-        let (queued, running, capacity) = {
+        let (queued, running, resident, capacity) = {
             let inner = self.inner.lock().unwrap();
             (
                 inner.queue.queued(),
                 inner.running.len(),
+                inner.entries.len(),
                 inner.queue.capacity(),
             )
         };
@@ -796,6 +915,7 @@ impl Daemon {
         let mut m = self.metrics.lock().unwrap();
         m.set_gauge("aprofd.queue.depth", queued as u64);
         m.set_gauge("aprofd.jobs.running", running as u64);
+        m.set_gauge("aprofd.jobs.resident", resident as u64);
         m.set_gauge("aprofd.brownout.tier", tier as u64);
         if prev != tier {
             m.inc("aprofd.brownout.transitions");
@@ -840,17 +960,12 @@ impl Daemon {
 
     fn healthz(&self) -> Response {
         let inner = self.inner.lock().unwrap();
-        let done = inner
-            .entries
-            .values()
-            .filter(|e| e.state == JobState::Done)
-            .count();
         Response::ok(format!(
             "ok\nqueued {}\nrunning {}\ndone {}\njobs {}\ndraining {}\nbrownout {}\n",
             inner.queue.queued(),
             inner.running.len(),
-            done,
-            inner.entries.len(),
+            inner.done,
+            inner.entries.len() + inner.finished,
             self.is_draining() as u8,
             self.current_brownout(),
         ))
@@ -961,8 +1076,7 @@ impl Daemon {
     }
 
     fn job_status(&self, id: &str) -> Response {
-        let inner = self.inner.lock().unwrap();
-        let Some(e) = inner.entries.get(id) else {
+        let Some(e) = self.lookup(id) else {
             return Response::text(404, format!("no such job `{id}`\n"));
         };
         let total = e.spec.grid_len();
@@ -983,12 +1097,11 @@ impl Daemon {
                 let _ = writeln!(out, "fingerprint {:016x}", s.fingerprint);
             }
             (JobState::Failed(msg), _) => {
-                let _ = writeln!(out, "error {}", msg.replace('\n', " "));
+                let _ = writeln!(out, "error {}", msg.trim().replace('\n', " "));
             }
             _ => {
                 // Live accounting straight from the journal: cells land
                 // there (fsynced) the moment they finish.
-                drop(inner);
                 let (cells, attempts, quarantined) = self.live_accounting(id);
                 let _ = writeln!(out, "cells {cells}/{total}");
                 let _ = writeln!(out, "attempts {attempts}");
@@ -1053,13 +1166,10 @@ impl Daemon {
     /// (`/jobs/{id}/report?since=N`) rendering of a live run, straight
     /// from the journal. Done jobs serve their final artifact.
     fn job_report(&self, id: &str, since: Option<u64>) -> Response {
-        let (state, family, total) = {
-            let inner = self.inner.lock().unwrap();
-            let Some(e) = inner.entries.get(id) else {
-                return Response::text(404, format!("no such job `{id}`\n"));
-            };
-            (e.state.clone(), e.spec.family.clone(), e.spec.grid_len())
+        let Some(e) = self.lookup(id) else {
+            return Response::text(404, format!("no such job `{id}`\n"));
         };
+        let (state, total, family) = (e.state, e.spec.grid_len(), e.spec.family);
         if since.is_none() && state == JobState::Done {
             return match std::fs::read_to_string(self.job_path(id, "report.txt")) {
                 Ok(text) => Response::ok(text),
@@ -1128,12 +1238,8 @@ impl Daemon {
         let since = since.unwrap_or(0) as usize;
         let steps = (self.cfg.poll_timeout.as_millis() / POLL_STEP.as_millis()).max(1) as u64;
         for step in 0u64.. {
-            let state = {
-                let inner = self.inner.lock().unwrap();
-                match inner.entries.get(id) {
-                    Some(e) => e.state.clone(),
-                    None => return Response::text(404, format!("no such job `{id}`\n")),
-                }
+            let Some(JobEntry { state, .. }) = self.lookup(id) else {
+                return Response::text(404, format!("no such job `{id}`\n"));
             };
             let terminal = matches!(state, JobState::Done | JobState::Failed(_));
             let cells = self.live_cells(id);
@@ -1166,7 +1272,7 @@ impl Daemon {
     /// A bucket-layout mismatch between cells surfaces as the typed
     /// [`drms::Error::Metrics`] chain, not a panic.
     fn job_metrics(&self, id: &str) -> Response {
-        if !self.inner.lock().unwrap().entries.contains_key(id) {
+        if self.lookup(id).is_none() {
             return Response::text(404, format!("no such job `{id}`\n"));
         }
         let mut merged = Metrics::new();
@@ -1178,6 +1284,28 @@ impl Daemon {
         }
         Response::ok(merged.to_prometheus())
     }
+}
+
+/// Whether `id` has [`job_id`]'s format: 16 lowercase hex digits. Only
+/// such IDs are ever turned into state-dir paths.
+fn is_job_id(id: &str) -> bool {
+    id.len() == 16 && id.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+}
+
+/// Splits a `job-<id>.spec` file into its submission number and the
+/// canonical spec lines.
+fn split_spec_file(text: &str) -> (u64, String) {
+    let mut submitted = 0u64;
+    let mut spec_lines = String::new();
+    for line in text.lines() {
+        if let Some(v) = line.strip_prefix("submitted ") {
+            submitted = v.parse().unwrap_or(0);
+        } else {
+            spec_lines.push_str(line);
+            spec_lines.push('\n');
+        }
+    }
+    (submitted, spec_lines)
 }
 
 /// Removes every `job-<id>.*` file. Returns whether anything existed.
@@ -1402,5 +1530,273 @@ fn handle_connection(daemon: &Daemon, stream: TcpStream) {
         // framing is unreliable past this point.
         let _ = crate::http::write_response(&mut write_half, &response, false);
         return;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use drms_bench::supervisor::run_supervised_with;
+    use std::thread::JoinHandle;
+
+    fn state_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("drms-daemon-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("state dir");
+        dir
+    }
+
+    fn start(dir: &std::path::Path, workers: usize, host_io: HostIo) -> Arc<Daemon> {
+        Daemon::new(DaemonConfig {
+            workers,
+            host_io,
+            ..DaemonConfig::new(dir)
+        })
+        .expect("daemon")
+    }
+
+    fn stop(d: &Daemon, workers: Vec<JoinHandle<()>>) {
+        d.begin_drain();
+        for w in workers {
+            w.join().expect("worker");
+        }
+    }
+
+    fn request(d: &Daemon, method: &str, target: &str, body: &str) -> Response {
+        let (path, query) = target.split_once('?').unwrap_or((target, ""));
+        d.handle(&Request {
+            method: method.into(),
+            path: path.into(),
+            query: query.into(),
+            body: body.into(),
+            close: false,
+        })
+    }
+
+    fn get(d: &Daemon, target: &str) -> String {
+        let r = request(d, "GET", target, "");
+        assert_eq!(r.status, 200, "{target}: {}", r.body);
+        r.body
+    }
+
+    fn submit(d: &Daemon, spec: &str) -> String {
+        let r = request(d, "POST", "/jobs", spec);
+        assert_eq!(r.status, 200, "{}", r.body);
+        r.body.trim().to_string()
+    }
+
+    fn state_of(d: &Daemon, id: &str) -> String {
+        let status = get(d, &format!("/jobs/{id}"));
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("state "))
+            .expect("state line")
+            .to_string()
+    }
+
+    fn wait_for(d: &Daemon, id: &str, state: &str) {
+        for _ in 0..60_000 {
+            if state_of(d, id) == state {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        panic!("job {id} never reached `{state}`");
+    }
+
+    /// What a job answers on `/jobs/{id}`, `/report`, `/events` and
+    /// `/metrics`.
+    fn views(d: &Daemon, id: &str) -> Vec<String> {
+        ["", "/report", "/events?since=0", "/metrics"]
+            .iter()
+            .map(|route| get(d, &format!("/jobs/{id}{route}")))
+            .collect()
+    }
+
+    /// The summary a resident entry held: the same spec swept directly.
+    fn direct_summary(spec: &JobSpec) -> JobSummary {
+        let r = run_supervised_with(
+            &spec.sweep_spec(),
+            &spec.supervisor_options(),
+            None,
+            &profile_cell,
+        );
+        JobSummary {
+            attempts: r.attempts(),
+            retries: r.retries(),
+            quarantined: r.quarantined.len() as u64,
+            cells: r.cells.len() as u64,
+            fingerprint: r.fingerprint(),
+        }
+    }
+
+    /// A done job, a failed job and a preempted-then-resumed job answer
+    /// every endpoint byte-identically from the entry a resident table
+    /// held, from disk once they left memory, and after a restart — the
+    /// one exception being `resumed`, which a restart turns to 1.
+    #[test]
+    fn finished_jobs_answer_identically_resident_on_disk_and_after_restart() {
+        const LOW: &str = "tenant alice\nfamily stream\nsizes 10000,15000,20000\n\
+                           seeds 1,2,3,4\njobs 1\npriority 0\n";
+        const HIGH: &str = "tenant bob\nfamily stream\nsizes 4,6\nseeds 1\njobs 1\npriority 9\n";
+        const FAILED: &str = "tenant carol\nfamily stream\nsizes 4,6\nseeds 1\njobs 1\n";
+        let dir = state_dir("three-states");
+        let d = start(&dir, 1, HostIo::real());
+        let workers = d.spawn_workers();
+
+        let low = submit(&d, LOW);
+        wait_for(&d, &low, "running");
+        let high = submit(&d, HIGH);
+        wait_for(&d, &high, "done");
+        wait_for(&d, &low, "done");
+        assert!(
+            d.metrics.lock().unwrap().counter("aprofd.jobs.preempted") >= 1,
+            "the low job never yielded"
+        );
+
+        // A journal whose spec record disagrees with the job's spec:
+        // the resume fails, and the job fails durably.
+        let failed_spec = JobSpec::parse(FAILED).unwrap();
+        let failed = job_id(&failed_spec, 3);
+        let journal_path = dir.join(format!("job-{failed}.journal"));
+        let other = JobSpec::parse("family stream\nsizes 4\n").unwrap();
+        let mut writer = JournalWriter::create(&journal_path).expect("journal");
+        run_supervised_with(
+            &other.sweep_spec(),
+            &other.supervisor_options(),
+            Some(&mut writer),
+            &profile_cell,
+        );
+        drop(writer);
+        assert_eq!(submit(&d, FAILED), failed);
+        wait_for(&d, &failed, "failed");
+        assert!(
+            d.inner.lock().unwrap().entries.is_empty(),
+            "finished jobs leave memory"
+        );
+
+        let Err(resume_err) = resume_sweep_preemptible_with_io(
+            &failed_spec.sweep_spec(),
+            &failed_spec.supervisor_options(),
+            &journal_path,
+            &profile_cell,
+            &HostIo::real(),
+        ) else {
+            panic!("the crafted journal must fail the resume");
+        };
+        let entry = |spec: &str, submitted, state, resumed| {
+            let spec = JobSpec::parse(spec).unwrap();
+            let summary = (state == JobState::Done).then(|| direct_summary(&spec));
+            JobEntry {
+                spec,
+                submitted,
+                state,
+                resumed,
+                summary,
+            }
+        };
+        let jobs = [
+            (low, entry(LOW, 1, JobState::Done, true)),
+            (high, entry(HIGH, 2, JobState::Done, false)),
+            (
+                failed,
+                entry(
+                    FAILED,
+                    3,
+                    JobState::Failed(render_error_chain(&resume_err)),
+                    false,
+                ),
+            ),
+        ];
+
+        let mut on_disk = Vec::new();
+        for (id, resident) in &jobs {
+            let disk = views(&d, id);
+            d.inner
+                .lock()
+                .unwrap()
+                .entries
+                .insert(id.clone(), resident.clone());
+            let memory = views(&d, id);
+            d.inner.lock().unwrap().entries.remove(id);
+            assert_eq!(
+                memory, disk,
+                "job {id}: resident and on-disk answers differ"
+            );
+            assert!(
+                disk[0].contains(&format!("\nresumed {}\n", resident.resumed as u8)),
+                "{}",
+                disk[0]
+            );
+            on_disk.push(disk);
+        }
+        stop(&d, workers);
+
+        let d2 = start(&dir, 0, HostIo::real());
+        for ((id, resident), before) in jobs.iter().zip(&on_disk) {
+            let after = views(&d2, id);
+            assert_eq!(
+                after[1..],
+                before[1..],
+                "job {id} changed across the restart"
+            );
+            let restored = before[0].replace(
+                &format!("\nresumed {}\n", resident.resumed as u8),
+                "\nresumed 1\n",
+            );
+            assert_eq!(after[0], restored, "job {id}: restored jobs read resumed 1");
+        }
+        let health = get(&d2, "/healthz");
+        assert!(health.contains("\ndone 2\njobs 3\n"), "{health}");
+        assert!(d2.inner.lock().unwrap().entries.is_empty());
+    }
+
+    /// Regression: a job whose entry vanished used to fail in memory
+    /// only, so a restart re-queued a job already reported failed.
+    #[test]
+    fn a_vanished_job_stays_failed_across_restart() {
+        let dir = state_dir("vanished");
+        let d = start(&dir, 0, HostIo::real());
+        let id = submit(&d, "family stream\nsizes 4\n");
+        d.inner.lock().unwrap().entries.remove(&id);
+        assert!(matches!(
+            d.run_job(&id, &PreemptSignal::new()),
+            JobOutcome::Failed { durable: true, .. }
+        ));
+
+        let d2 = start(&dir, 0, HostIo::real());
+        let status = get(&d2, &format!("/jobs/{id}"));
+        assert!(status.contains("\nstate failed\n"), "{status}");
+        assert!(
+            status.contains("\nerror job vanished from the store\n"),
+            "{status}"
+        );
+        assert_eq!(d2.inner.lock().unwrap().queue.queued(), 0, "not re-queued");
+    }
+
+    /// A failed job whose `.failed` marker cannot be written stays in
+    /// memory (it is still answered as failed) and re-runs on restart.
+    #[test]
+    fn a_failure_without_a_durable_marker_stays_resident_and_reruns() {
+        let dir = state_dir("undurable");
+        // Create #1 is the spec persist; #2 (the journal) and #3 (the
+        // `.failed` marker's temp file) hit ENOSPC.
+        let io = HostIo::from_spec("create:enospc:once=2,create:enospc:once=3").unwrap();
+        let d = start(&dir, 1, io);
+        let workers = d.spawn_workers();
+        let id = submit(&d, "family stream\nsizes 4\n");
+        wait_for(&d, &id, "failed");
+        stop(&d, workers);
+        assert!(get(&d, &format!("/jobs/{id}")).contains("\nerror journal create: "));
+        assert!(!dir.join(format!("job-{id}.failed")).exists());
+        assert!(get(&d, "/healthz").contains("\ndone 0\njobs 1\n"));
+        assert_eq!(
+            d.metrics.lock().unwrap().gauge("aprofd.jobs.resident"),
+            1,
+            "the job stays in memory"
+        );
+
+        let d2 = start(&dir, 0, HostIo::real());
+        assert_eq!(state_of(&d2, &id), "queued", "a restart re-runs it");
     }
 }

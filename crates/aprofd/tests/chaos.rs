@@ -532,3 +532,77 @@ fn trace_shards_are_retained_as_artifacts_and_gc_removes_them() {
     );
     s.stop();
 }
+
+/// `(done, jobs)` from `/healthz`.
+fn health_counts(server: &Server) -> (usize, usize) {
+    let body = server
+        .client()
+        .request("GET", "/healthz", "")
+        .expect("health")
+        .body;
+    let line = |key: &str| {
+        body.lines()
+            .find_map(|l| l.strip_prefix(key))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no `{key}` line:\n{body}"))
+    };
+    (line("done "), line("jobs "))
+}
+
+/// `(done markers, specs)` in the state dir.
+fn disk_counts(dir: &Path) -> (usize, usize) {
+    let names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    let count = |suffix: &str| names.iter().filter(|n| n.ends_with(suffix)).count();
+    (count(".done"), count(".spec"))
+}
+
+/// Waits until `/healthz` reports `want` (GC runs just after a job's
+/// completion is visible), then checks it against the state dir.
+fn expect_counts(server: &Server, dir: &Path, want: (usize, usize)) {
+    for _ in 0..500 {
+        if health_counts(server) == want {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(health_counts(server), want, "/healthz (done, jobs)");
+    assert_eq!(disk_counts(dir), want, "state dir (done markers, specs)");
+}
+
+/// `/healthz` takes `done` and `jobs` from counters, not from a table
+/// scan: they must track the state dir through completions, a restart,
+/// and GC prunes at run time and at startup.
+#[test]
+fn healthz_counts_track_the_state_dir_through_restart_and_gc() {
+    let dir = state_dir("health-counts");
+    let s = start_with(DaemonConfig {
+        workers: 1,
+        retain_count: Some(2),
+        ..DaemonConfig::new(dir.clone())
+    });
+    for k in 1..=3 {
+        let id = submit(&s, SPEC);
+        wait_done(&s, &id);
+        // retain_count = 2: the third completion prunes the first job.
+        expect_counts(&s, &dir, (k.min(2), k.min(2)));
+    }
+    s.stop();
+
+    let s2 = start(&dir, 0);
+    expect_counts(&s2, &dir, (2, 2));
+    submit(&s2, SPEC);
+    expect_counts(&s2, &dir, (2, 3));
+    s2.stop();
+
+    // Startup GC down to one finished job; the queued one is untouched.
+    let s3 = start_with(DaemonConfig {
+        workers: 0,
+        retain_count: Some(1),
+        ..DaemonConfig::new(dir.clone())
+    });
+    expect_counts(&s3, &dir, (1, 2));
+    s3.stop();
+}

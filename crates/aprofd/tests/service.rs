@@ -586,3 +586,116 @@ fn restored_entries_report_their_state_without_a_network_restart() {
         "state names are part of the wire format"
     );
 }
+
+/// A URL-supplied ID reaches the state dir only in `job_id`'s format
+/// (16 lowercase hex digits): path tricks, uppercase hex, and 15- or
+/// 17-digit IDs are all 404 — even when files under those names exist.
+#[test]
+fn malformed_job_ids_are_404_even_when_files_match_them() {
+    let dir = state_dir("bad-ids");
+    let s = start(&dir, 1, QueueConfig::default());
+    let id = submit(&s, SPEC);
+    wait_done(&s, &id);
+
+    let upper = id.to_uppercase();
+    let short = &id[..15];
+    let long = format!("{id}0");
+    assert_ne!(upper, id, "the id has hex letters to upper-case");
+    for bad in [upper.as_str(), short, long.as_str()] {
+        for suffix in ["spec", "done", "report.txt", "journal"] {
+            std::fs::copy(
+                dir.join(format!("job-{id}.{suffix}")),
+                dir.join(format!("job-{bad}.{suffix}")),
+            )
+            .unwrap();
+        }
+    }
+    let client = s.client();
+    for bad in [
+        upper.as_str(),
+        short,
+        long.as_str(),
+        "..",
+        "%2e%2e",
+        "../x",
+        "..%2fjob-x",
+    ] {
+        for route in ["", "/report", "/events", "/metrics"] {
+            let path = format!("/jobs/{bad}{route}");
+            let reply = client.request("GET", &path, "").expect("reply");
+            assert_eq!(reply.status, 404, "{path}: {}", reply.body);
+        }
+    }
+    for route in ["", "/report", "/events", "/metrics"] {
+        let reply = client
+            .request("GET", &format!("/jobs/{id}{route}"), "")
+            .expect("reply");
+        assert_eq!(reply.status, 200, "{route}: {}", reply.body);
+    }
+    s.stop();
+}
+
+/// The `drms_aprofd_*` gauge `name` from a Prometheus scrape.
+fn gauge(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(&format!("drms_aprofd_{name} ")))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(0)
+}
+
+/// Memory holds live jobs only: while 200 jobs run one after another
+/// the resident table is always queued + running, and once the workers
+/// drain it is empty — while `/healthz` still counts every job.
+#[test]
+fn the_resident_table_drains_to_zero_after_200_sequential_jobs() {
+    let dir = state_dir("resident");
+    let daemon = Daemon::new(DaemonConfig {
+        workers: 1,
+        ..DaemonConfig::new(dir.clone())
+    })
+    .expect("daemon");
+    let workers = daemon.spawn_workers();
+    let get = |path: &str| {
+        daemon
+            .handle(&drms_aprofd::http::Request {
+                method: "GET".into(),
+                path: path.into(),
+                query: String::new(),
+                body: String::new(),
+                close: false,
+            })
+            .body
+    };
+    let tiny = "tenant alice\nfamily stream\nsizes 4\nseeds 1\n";
+    for i in 0..200 {
+        let reply = daemon.handle(&drms_aprofd::http::Request {
+            method: "POST".into(),
+            path: "/jobs".into(),
+            query: String::new(),
+            body: tiny.into(),
+            close: false,
+        });
+        assert_eq!(reply.status, 200, "job {i}: {}", reply.body);
+        let id = reply.body.trim().to_string();
+        loop {
+            let metrics = get("/metrics");
+            assert_eq!(
+                gauge(&metrics, "jobs_resident"),
+                gauge(&metrics, "queue_depth") + gauge(&metrics, "jobs_running"),
+                "job {i}: resident jobs are exactly the queued and running ones"
+            );
+            if get(&format!("/jobs/{id}")).contains("\nstate done\n") {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    daemon.begin_drain();
+    for w in workers {
+        w.join().expect("worker");
+    }
+    assert_eq!(gauge(&get("/metrics"), "jobs_resident"), 0);
+    let health = get("/healthz");
+    assert!(health.contains("\ndone 200\njobs 200\n"), "{health}");
+}

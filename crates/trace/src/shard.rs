@@ -52,7 +52,6 @@ use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// Leading magic of every shard file.
 pub const SHARD_MAGIC: [u8; 8] = *b"DRMSSHD1";
@@ -788,8 +787,9 @@ pub struct ShardSet {
 
 impl ShardSet {
     /// Loads every `shard-*.bin` under `dir`, parsing up to `jobs`
-    /// shards in parallel (the sweep's worker-pool idiom: scoped
-    /// threads racing over an atomic cursor).
+    /// shards in parallel (the sweep's worker-pool idiom: the calling
+    /// thread plus `jobs - 1` scoped threads racing over an atomic
+    /// cursor).
     pub fn load(dir: &Path, jobs: usize) -> io::Result<ShardSet> {
         let mut names: Vec<String> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
@@ -813,42 +813,46 @@ impl ShardSet {
             Err(_) => None,
         };
 
-        let mut slots: Vec<Option<SalvagedShard>> = Vec::new();
-        slots.resize_with(names.len(), || None);
         let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, SalvagedShard)>();
+        // One worker's share: claim shards off the cursor until none
+        // are left, keeping what it parsed.
+        let claim = || {
+            let mut parsed = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(name) = names.get(i) else { break };
+                let shard = match std::fs::read(dir.join(name)) {
+                    Ok(bytes) => parse_shard(name, &bytes),
+                    Err(_) => SalvagedShard {
+                        name: name.clone(),
+                        thread: thread_of_name(name).unwrap_or(ThreadId::MAIN),
+                        frames: Vec::new(),
+                        bytes: 0,
+                        torn: true,
+                    },
+                };
+                parsed.push((i, shard));
+            }
+            parsed
+        };
+        // `jobs = 1` spawns nothing: no thread, no extra malloc arena.
         let workers = jobs.max(1).min(names.len().max(1));
-        std::thread::scope(|scope| {
-            let names = &names;
-            let cursor = &cursor;
-            for _ in 0..workers {
-                let tx = tx.clone();
-                scope.spawn(move || loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(name) = names.get(i) else { break };
-                    let shard = match std::fs::read(dir.join(name)) {
-                        Ok(bytes) => parse_shard(name, &bytes),
-                        Err(_) => SalvagedShard {
-                            name: name.clone(),
-                            thread: thread_of_name(name).unwrap_or(ThreadId::MAIN),
-                            frames: Vec::new(),
-                            bytes: 0,
-                            torn: true,
-                        },
-                    };
-                    if tx.send((i, shard)).is_err() {
-                        break;
-                    }
-                });
+        let mut parsed = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+            let mut parsed = claim();
+            for helper in helpers {
+                parsed.extend(
+                    helper
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+                );
             }
-            drop(tx);
-            for (i, shard) in rx {
-                slots[i] = Some(shard);
-            }
+            parsed
         });
+        parsed.sort_by_key(|(i, _)| *i);
 
         let mut set = ShardSet {
-            shards: slots.into_iter().flatten().collect(),
+            shards: parsed.into_iter().map(|(_, shard)| shard).collect(),
             salvaged: 0,
             dropped: 0,
             total: 0,
