@@ -8,6 +8,9 @@ export CARGO_NET_OFFLINE=true
 
 cargo build --release --workspace
 cargo test -q --workspace
+# The service suite again at release speed: its preemption test must
+# still catch the low-priority sweep mid-grid when guests run fast.
+cargo test --release -q -p drms-aprofd --test service
 # perfbench is a package of its own that compiles against the aprofd
 # library API (Daemon, DaemonConfig, serve, Conn, JobSpec).
 cargo test --release --offline --manifest-path perfbench/Cargo.toml

@@ -379,9 +379,11 @@ fn live_jobs_serve_snapshot_and_delta_reports_from_the_journal() {
 #[test]
 fn a_high_priority_job_preempts_and_the_yielded_job_resumes_identically() {
     let dir = state_dir("preempt");
-    // Enough cells that the low job is still mid-grid when the high
-    // one arrives: 5 sizes x 4 seeds = 20 cell boundaries to yield at.
-    let low_spec = "tenant alice\nfamily stream\nsizes 256,384,512,640,768\n\
+    // Enough work that the low job is still mid-grid when the high one
+    // arrives, even in a release build: 3 sizes x 4 seeds = 12 cell
+    // boundaries to yield at, each cell long enough to outlast the
+    // high job's submission.
+    let low_spec = "tenant alice\nfamily stream\nsizes 10000,15000,20000\n\
                     seeds 1,2,3,4\njobs 1\npriority 0\n";
     let high_spec = "tenant bob\nfamily stream\nsizes 4\nseeds 1\njobs 1\npriority 9\n";
 

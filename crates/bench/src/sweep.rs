@@ -27,8 +27,8 @@
 //! change a perf trajectory to beat; the wall-clock side (speedup,
 //! per-cell seconds) lives in a [`timings sibling`](SweepBench::timings_json)
 //! so the bench JSON itself stays byte-reproducible. [`validate_bench_json`]
-//! re-parses an emitted file — current v2 or legacy v1 — and checks it
-//! against its schema: the offline CI gate.
+//! re-parses an emitted file and checks it against its schema: the
+//! offline CI gate.
 
 use crate::supervisor::{run_supervised, SupervisorOptions};
 use drms::analysis::{CostPlot, InputMetric};
@@ -347,15 +347,11 @@ pub fn run_sweep(spec: &SweepSpec) -> SweepResult {
 
 /// Schema tag of `BENCH_sweep.json`; bump when the layout changes.
 ///
-/// v2 (vs [`BENCH_SCHEMA_V1`]) drops every wall-clock field — those
-/// move to the [timings sibling](SweepBench::timings_json) — and adds
-/// the supervisor's attempt accounting and quarantine lists, making the
-/// bench JSON itself byte-deterministic for a given spec.
+/// v2 keeps every wall-clock field out — those live in the [timings
+/// sibling](SweepBench::timings_json) — and records the supervisor's
+/// attempt accounting and quarantine lists, making the bench JSON itself
+/// byte-deterministic for a given spec.
 pub const BENCH_SCHEMA: &str = "drms-sweep-v2";
-
-/// The previous bench schema; [`validate_bench_json`] still accepts it
-/// so archived baselines keep validating.
-pub const BENCH_SCHEMA_V1: &str = "drms-sweep-v1";
 
 /// One family's serial + parallel measurement pair inside a
 /// [`SweepBench`].
@@ -679,7 +675,7 @@ impl SweepBench {
 
 // ---------------------------------------------------------------------------
 // Schema validation: a minimal JSON reader (the workspace is offline and
-// dependency-free, so no serde) plus the drms-sweep-v1 checks.
+// dependency-free, so no serde) plus the drms-sweep-v2 checks.
 
 /// A parsed JSON value — just enough of the data model for validation.
 #[derive(Clone, Debug, PartialEq)]
@@ -871,24 +867,19 @@ impl<'a> JsonParser<'a> {
     }
 }
 
-/// Validates a `BENCH_sweep.json` blob against its schema — current
-/// [`BENCH_SCHEMA`] (v2) or legacy [`BENCH_SCHEMA_V1`], dispatched on
-/// the blob's own `schema` tag so archived baselines keep validating.
-///
-/// v2 checks include the supervisor's attempt accounting
+/// Validates a `BENCH_sweep.json` blob against the [`BENCH_SCHEMA`]
+/// (v2) schema, including the supervisor's attempt accounting
 /// (`completed + retries + quarantined == attempts`, at the top level
-/// and per family); v1 checks include the serial-vs-parallel
-/// divergence verdicts that schema recorded inline.
+/// and per family).
 ///
 /// # Errors
 /// A human-readable description of the first violation: parse failure,
-/// unknown schema tag, missing or mistyped field, empty family list,
-/// broken accounting, or (v1) a recorded divergence.
+/// unknown schema tag, missing or mistyped field, empty family list, or
+/// broken accounting.
 pub fn validate_bench_json(text: &str) -> Result<(), String> {
     let root = JsonParser::parse(text)?;
     match root.get("schema") {
         Some(Json::Str(s)) if s == BENCH_SCHEMA => validate_v2(&root),
-        Some(Json::Str(s)) if s == BENCH_SCHEMA_V1 => validate_v1(&root),
         other => Err(format!("bad schema tag: {other:?}")),
     }
 }
@@ -994,84 +985,6 @@ fn validate_v2(root: &Json) -> Result<(), String> {
                 "{ctx}: per-cell attempts sum to {attempt_sum}, \
                  family claims {fam_attempts}"
             ));
-        }
-    }
-    Ok(())
-}
-
-fn validate_v1(root: &Json) -> Result<(), String> {
-    let jobs = root
-        .get("jobs")
-        .and_then(Json::num)
-        .ok_or("missing numeric `jobs`")?;
-    if jobs < 1.0 {
-        return Err(format!("jobs must be >= 1, got {jobs}"));
-    }
-    for key in [
-        "wall_secs_serial",
-        "wall_secs_parallel",
-        "speedup",
-        "instructions",
-        "instructions_per_sec",
-        "events",
-        "events_per_sec",
-        "shadow_bytes",
-    ] {
-        let v = root
-            .get(key)
-            .and_then(Json::num)
-            .ok_or_else(|| format!("missing numeric `{key}`"))?;
-        if !v.is_finite() || v < 0.0 {
-            return Err(format!("`{key}` must be a finite non-negative number"));
-        }
-    }
-    if root.get("divergence") != Some(&Json::Bool(false)) {
-        return Err("serial and parallel sweeps diverged".to_string());
-    }
-    let Some(Json::Arr(families)) = root.get("families") else {
-        return Err("missing `families` array".to_string());
-    };
-    if families.is_empty() {
-        return Err("`families` is empty".to_string());
-    }
-    for fam in families {
-        let name = match fam.get("family") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => return Err("family entry without a `family` name".to_string()),
-        };
-        if fam.get("divergence") != Some(&Json::Bool(false)) {
-            return Err(format!("family `{name}` diverged"));
-        }
-        match fam.get("fingerprint") {
-            Some(Json::Str(f)) if f.starts_with("0x") && f.len() == 18 => {}
-            other => return Err(format!("family `{name}`: bad fingerprint {other:?}")),
-        }
-        let Some(Json::Arr(cells)) = fam.get("cells") else {
-            return Err(format!("family `{name}`: missing `cells` array"));
-        };
-        if cells.is_empty() {
-            return Err(format!("family `{name}`: no cells"));
-        }
-        for cell in cells {
-            for key in [
-                "size",
-                "seed",
-                "secs",
-                "instructions",
-                "events",
-                "basic_blocks",
-                "shadow_bytes",
-            ] {
-                if cell.get(key).and_then(Json::num).is_none() {
-                    return Err(format!("family `{name}`: cell missing numeric `{key}`"));
-                }
-            }
-            match cell.get("error") {
-                Some(Json::Null) | Some(Json::Str(_)) => {}
-                other => {
-                    return Err(format!("family `{name}`: bad cell error field {other:?}"));
-                }
-            }
         }
     }
     Ok(())
@@ -1210,47 +1123,6 @@ mod tests {
         assert!(err.contains("attempts"), "{err}");
         let no_schema = good.replace(BENCH_SCHEMA, "drms-sweep-v0");
         assert!(validate_bench_json(&no_schema).is_err());
-    }
-
-    #[test]
-    fn legacy_v1_blobs_still_validate() {
-        let v1 = format!(
-            r#"{{
-  "schema": "{BENCH_SCHEMA_V1}",
-  "jobs": 2,
-  "wall_secs_serial": 0.5,
-  "wall_secs_parallel": 0.3,
-  "speedup": 1.6667,
-  "instructions": 1000,
-  "instructions_per_sec": 3333.3,
-  "events": 500,
-  "events_per_sec": 1666.7,
-  "shadow_bytes": 4096,
-  "divergence": false,
-  "families": [
-    {{
-      "family": "stream",
-      "sizes": [4],
-      "seeds": [0],
-      "serial_secs": 0.5,
-      "parallel_secs": 0.3,
-      "speedup": 1.6667,
-      "fingerprint": "0x0123456789abcdef",
-      "divergence": false,
-      "cells": [
-        {{"size": 4, "seed": 0, "secs": 0.3, "instructions": 1000,
-          "events": 500, "basic_blocks": 100, "shadow_bytes": 4096,
-          "error": null}}
-      ]
-    }}
-  ]
-}}
-"#
-        );
-        validate_bench_json(&v1).expect("archived v1 baselines keep validating");
-        let diverged = v1.replace("\"divergence\": false", "\"divergence\": true");
-        let err = validate_bench_json(&diverged).unwrap_err();
-        assert!(err.contains("diverged"), "{err}");
     }
 
     #[test]

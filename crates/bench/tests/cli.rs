@@ -1,5 +1,6 @@
 //! End-to-end tests of the `aprof` and `repro` command-line binaries.
 
+use drms::sched::fnv1a;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -69,9 +70,19 @@ fn aprof_dumps_parseable_reports_and_traces() {
     let report_text = std::fs::read_to_string(&report).expect("report file");
     let parsed = drms::core::report_io::from_text(&report_text).expect("parse report");
     assert!(!parsed.is_empty());
+    // One checksummed line per event, as many as aprof says it wrote.
     let trace_text = std::fs::read_to_string(&trace).expect("trace file");
-    let events = drms::trace::codec::from_text(&trace_text).expect("parse trace");
-    assert!(!events.is_empty());
+    for line in trace_text.lines() {
+        let (payload, hex) = line.rsplit_once(" ~").expect("checksum token");
+        assert_eq!(hex, format!("{:x}", fnv1a(payload.as_bytes())), "{line}");
+    }
+    let lines = trace_text.lines().count();
+    assert!(lines > 0);
+    assert!(
+        stdout(&out).contains(&format!("({lines} events)")),
+        "{}",
+        stdout(&out)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -14,8 +14,8 @@
 //! event stream and re-keying collected activations by context.
 
 use crate::drms::{DrmsConfig, DrmsProfiler};
-use crate::fnv::FnvBuildHasher;
 use crate::profile::RoutineProfile;
+use drms_trace::fnv::FnvBuildHasher;
 use drms_trace::{Addr, EventSink, RoutineId, SyncOp, ThreadId};
 use drms_vm::Tool;
 use std::collections::HashMap;

@@ -59,7 +59,6 @@
 pub mod context;
 pub mod diff;
 pub mod drms;
-pub mod fnv;
 pub mod naive;
 pub mod profile;
 pub mod report_io;

@@ -7,7 +7,7 @@
 //! distinct input size `n` of routine `r`, the maximum cost of an
 //! activation of `r` on input size `n`.
 
-use crate::fnv::FnvBuildHasher;
+use drms_trace::fnv::FnvBuildHasher;
 use drms_trace::{RoutineId, ThreadId};
 use std::collections::{BTreeMap, HashMap};
 

@@ -12,7 +12,6 @@ use drms_trace::hostio::HostFaultSpecError;
 use drms_trace::journal::ParseJournalError;
 use drms_trace::obs::MergeError;
 use drms_trace::sched::ParseSchedError;
-use drms_trace::ParseTraceError;
 use drms_vm::{FaultSpecError, KernelError, RunError};
 use std::fmt;
 
@@ -36,8 +35,6 @@ pub enum Error {
     Run(RunError),
     /// A kernel/device operation failed outside a guest context.
     Kernel(KernelError),
-    /// A serialized event trace failed to parse.
-    Trace(ParseTraceError),
     /// A serialized schedule failed to parse.
     Sched(ParseSchedError),
     /// A serialized profile report failed to parse.
@@ -64,7 +61,6 @@ impl fmt::Display for Error {
         match self {
             Error::Run(_) => write!(f, "guest run failed"),
             Error::Kernel(_) => write!(f, "kernel operation failed"),
-            Error::Trace(_) => write!(f, "malformed event trace"),
             Error::Sched(_) => write!(f, "malformed schedule"),
             Error::Report(_) => write!(f, "malformed profile report"),
             Error::Faults(_) => write!(f, "malformed fault plan"),
@@ -81,7 +77,6 @@ impl std::error::Error for Error {
         match self {
             Error::Run(e) => Some(e),
             Error::Kernel(e) => Some(e),
-            Error::Trace(e) => Some(e),
             Error::Sched(e) => Some(e),
             Error::Report(e) => Some(e),
             Error::Faults(e) => Some(e),
@@ -102,12 +97,6 @@ impl From<RunError> for Error {
 impl From<KernelError> for Error {
     fn from(e: KernelError) -> Self {
         Error::Kernel(e)
-    }
-}
-
-impl From<ParseTraceError> for Error {
-    fn from(e: ParseTraceError) -> Self {
-        Error::Trace(e)
     }
 }
 

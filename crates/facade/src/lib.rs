@@ -48,10 +48,9 @@ pub use drms_workloads as workloads;
 pub use error::Error;
 pub use session::ProfileSession;
 
-use drms_core::{DrmsConfig, ProfileReport};
+use drms_core::ProfileReport;
 use drms_trace::{Metrics, Schedule};
-use drms_vm::{Program, RunConfig, RunError, RunStats};
-use drms_workloads::Workload;
+use drms_vm::{RunError, RunStats};
 
 /// Commonly used items in one import.
 pub mod prelude {
@@ -77,81 +76,14 @@ pub mod prelude {
     pub use drms_workloads::Workload;
 }
 
-/// Extracts the guest error from a [`ProfileSession::run`] failure.
-///
-/// The session only fails at setup time, and setup failures are always
-/// guest [`RunError`]s — this keeps the legacy wrappers' signatures.
-fn setup_error(e: Error) -> RunError {
-    match e {
-        Error::Run(e) => e,
-        other => unreachable!("session setup cannot fail with {other}"),
-    }
-}
-
-/// Profiles `program` under `config` with the full drms metric, returning
-/// the thread-sensitive profile report and the run statistics.
-///
-/// **Deprecated:** use the [`ProfileSession`] builder, which exposes the
-/// same pipeline plus faults, scheduling, dispatch/batching knobs, extra
-/// tools and partial profiles; this wrapper remains for source
-/// compatibility only.
-///
-/// # Errors
-/// Propagates any guest [`RunError`].
-///
-/// # Example
-/// ```
-/// use drms::prelude::*;
-///
-/// let mut pb = ProgramBuilder::new();
-/// let g = pb.global(4);
-/// let main = pb.function("main", 0, |f| {
-///     let _ = f.load(g.raw() as i64, 0);
-///     f.ret(None);
-/// });
-/// let program = pb.finish(main).unwrap();
-/// let outcome = ProfileSession::new(&program).run().unwrap();
-/// assert!(outcome.stats.basic_blocks > 0);
-/// assert!(!outcome.report.is_empty());
-/// ```
-#[deprecated(since = "0.8.0", note = "use the `ProfileSession` builder")]
-pub fn profile(
-    program: &Program,
-    config: RunConfig,
-) -> Result<(ProfileReport, RunStats), RunError> {
-    #[allow(deprecated)]
-    profile_with(program, config, DrmsConfig::full())
-}
-
-/// Like [`profile`], with an explicit [`DrmsConfig`] (e.g. external input
-/// only, or a small renumbering limit).
-///
-/// **Deprecated** wrapper over [`ProfileSession`]; see [`profile`].
-#[deprecated(
-    since = "0.8.0",
-    note = "use `ProfileSession::new(program).config(config).drms(drms)`"
-)]
-pub fn profile_with(
-    program: &Program,
-    config: RunConfig,
-    drms: DrmsConfig,
-) -> Result<(ProfileReport, RunStats), RunError> {
-    ProfileSession::new(program)
-        .config(config)
-        .drms(drms)
-        .run()
-        .map_err(setup_error)?
-        .into_parts()
-}
-
 /// Outcome of a guest run that is allowed to abort: whatever profile
 /// data was collected up to the failure point, plus the failure itself.
 ///
-/// Produced by [`ProfileSession::run`] (and the legacy
-/// [`profile_partial`]). When `error` is `Some`, the report covers every
-/// activation observed before the abort (in-flight activations are
-/// flushed at their last observed cost) and `stats` reflect the work
-/// actually executed — including any injected-fault counters.
+/// Produced by [`ProfileSession::run`]. When `error` is `Some`, the
+/// report covers every activation observed before the abort (in-flight
+/// activations are flushed at their last observed cost) and `stats`
+/// reflect the work actually executed — including any injected-fault
+/// counters.
 #[derive(Clone, Debug)]
 pub struct ProfileOutcome {
     /// The (possibly partial) profile report.
@@ -181,8 +113,8 @@ impl ProfileOutcome {
     }
 
     /// Splits the outcome into its `(report, stats)` pair, surfacing a
-    /// guest abort as the error it is — the legacy all-or-nothing
-    /// contract, for callers that have no use for partial profiles.
+    /// guest abort as the error it is — the all-or-nothing contract, for
+    /// callers that have no use for partial profiles.
     ///
     /// # Errors
     /// The abort reason, when the guest did not run to completion.
@@ -194,49 +126,12 @@ impl ProfileOutcome {
     }
 }
 
-/// Like [`profile_with`], but a guest abort (watchdog, deadlock, corrupt
-/// stack) does not discard the profile: the data gathered so far is
-/// flushed and returned alongside the error.
-///
-/// **Deprecated:** this is [`ProfileSession::run`]'s native contract;
-/// use the builder directly.
-///
-/// # Errors
-/// Only setup failures (program validation) are returned as `Err`;
-/// run-time aborts land in [`ProfileOutcome::error`].
-#[deprecated(
-    since = "0.8.0",
-    note = "`ProfileSession::run` already returns a partial-tolerant `ProfileOutcome`"
-)]
-pub fn profile_partial(
-    program: &Program,
-    config: RunConfig,
-    drms: DrmsConfig,
-) -> Result<ProfileOutcome, RunError> {
-    ProfileSession::new(program)
-        .config(config)
-        .drms(drms)
-        .run()
-        .map_err(setup_error)
-}
-
-/// Profiles a prebuilt [`Workload`] with its own devices and defaults.
-///
-/// **Deprecated** wrapper over [`ProfileSession::workload`]; see
-/// [`profile`].
-///
-/// # Errors
-/// Propagates any guest [`RunError`].
-#[deprecated(since = "0.8.0", note = "use `ProfileSession::workload(w)`")]
-pub fn profile_workload(w: &Workload) -> Result<(ProfileReport, RunStats), RunError> {
-    #[allow(deprecated)]
-    profile(&w.program, w.run_config())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use drms_analysis::{CostPlot, InputMetric, Model};
+    use drms_core::DrmsConfig;
+    use drms_vm::RunConfig;
 
     #[test]
     fn end_to_end_minidb_fit() {
@@ -277,22 +172,6 @@ mod tests {
         let text = drms_core::report_io::to_text(&outcome.report);
         let back = drms_core::report_io::from_text(&text).unwrap();
         assert_eq!(back, outcome.report);
-    }
-
-    // The deprecated wrappers must keep producing exactly what the
-    // session produces until they are removed.
-    #[test]
-    #[allow(deprecated)]
-    fn completed_run_outcome_matches_legacy_wrappers() {
-        let w = drms_workloads::patterns::stream_reader(8);
-        let (report, stats) = profile_workload(&w).unwrap();
-        let partial = profile_partial(&w.program, w.run_config(), DrmsConfig::full()).unwrap();
-        let outcome = ProfileSession::workload(&w).run().unwrap();
-        assert!(!outcome.is_partial());
-        assert_eq!(outcome.report, report);
-        assert_eq!(outcome.stats, stats);
-        assert_eq!(partial.report, report);
-        assert_eq!(partial.stats, stats);
     }
 
     #[test]

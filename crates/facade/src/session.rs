@@ -1,11 +1,10 @@
 //! The unified profiling entry point.
 //!
-//! [`ProfileSession`] is a builder that collapses the facade's historical
-//! `profile` / `profile_partial` / `profile_workload` trio into one
-//! configurable pipeline: pick a program, layer on run configuration,
-//! drms settings, fault plans, scheduling and extra tools, then
-//! [`run`](ProfileSession::run) it. Every run uses the partial-profile
-//! contract — a guest abort never discards the data collected before it.
+//! [`ProfileSession`] is a builder over one configurable pipeline: pick
+//! a program, layer on run configuration, drms settings, fault plans,
+//! scheduling and extra tools, then [`run`](ProfileSession::run) it.
+//! Every run uses the partial-profile contract — a guest abort never
+//! discards the data collected before it.
 //!
 //! When no extra tools are attached, the session drives the VM through
 //! the monomorphized fast path (the profiler's event handlers compile to
@@ -306,17 +305,6 @@ impl std::fmt::Debug for ProfileSession<'_, '_> {
 mod tests {
     use super::*;
     use drms_vm::{NullTool, RunError};
-
-    #[test]
-    #[allow(deprecated)]
-    fn session_matches_the_legacy_entry_points() {
-        let w = drms_workloads::patterns::stream_reader(8);
-        let (report, stats) = crate::profile_workload(&w).unwrap();
-        let outcome = ProfileSession::workload(&w).run().unwrap();
-        assert!(!outcome.is_partial());
-        assert_eq!(outcome.report, report);
-        assert_eq!(outcome.stats, stats);
-    }
 
     #[test]
     fn extra_tools_observe_the_same_run() {

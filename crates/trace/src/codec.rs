@@ -1,4 +1,4 @@
-//! Plain-text trace serialization.
+//! Plain-text trace rendering.
 //!
 //! One event per line:
 //!
@@ -6,48 +6,27 @@
 //! <time> <thread> <cost> <mnemonic> [args...] ~<checksum>
 //! ```
 //!
-//! The format is stable, diff-friendly and human-readable; it backs golden
-//! tests and lets traces be captured once and re-analysed offline.
-//!
-//! The trailing `~<hex>` token is an FNV-1a checksum of the payload
-//! before it, letting corrupted captures (truncated files, flipped
-//! bits) be detected line by line. Checksum-less lines are accepted for
-//! backward compatibility with hand-written traces; when the token is
-//! present it must match. [`from_text`] fails on the first bad line;
-//! [`from_text_lossy`] instead salvages the longest valid prefix so a
-//! damaged capture can still be replayed or merged.
+//! The format is stable, diff-friendly and human-readable: `aprof
+//! --trace FILE` writes it, and byte-identity suites fingerprint it. The
+//! trailing `~<hex>` token is the [`fnv1a`] checksum of the payload
+//! before it. Traces are read back from binary shards
+//! ([`crate::shard::ShardSet`]), not from this text.
 
 use crate::event::{Event, SyncOp, TimedEvent};
-use crate::ids::{Addr, BlockId, RoutineId, ThreadId};
+use crate::fnv::fnv1a;
 use std::fmt::Write as _;
-
-/// Error produced when parsing a serialized trace line.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseTraceError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// Human-readable description of the problem.
-    pub message: String,
-}
-
-impl std::fmt::Display for ParseTraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseTraceError {}
 
 /// Serializes events to the line-oriented text format.
 ///
 /// # Example
 /// ```
 /// use drms_trace::{TimedEvent, Event, ThreadId, RoutineId};
-/// use drms_trace::codec::{to_text, from_text};
+/// use drms_trace::codec::to_text;
+/// use drms_trace::fnv::fnv1a;
 /// let evs = vec![TimedEvent::new(1, ThreadId::MAIN, 0,
 ///     Event::Call { routine: RoutineId::new(2) })];
-/// let text = to_text(&evs);
-/// assert_eq!(from_text(&text).unwrap(), evs);
+/// let sum = fnv1a(b"1 0 0 call 2");
+/// assert_eq!(to_text(&evs), format!("1 0 0 call 2 ~{sum:x}\n"));
 /// ```
 pub fn to_text(events: &[TimedEvent]) -> String {
     let mut out = String::new();
@@ -55,20 +34,9 @@ pub fn to_text(events: &[TimedEvent]) -> String {
     for ev in events {
         line.clear();
         write_event(&mut line, ev);
-        let _ = writeln!(out, "{line} ~{:x}", checksum(&line));
+        let _ = writeln!(out, "{line} ~{:x}", fnv1a(line.as_bytes()));
     }
     out
-}
-
-/// FNV-1a hash of a line payload (the bytes before the ` ~<hex>` token).
-/// Shared with the schedule codec in [`crate::sched`].
-pub(crate) fn checksum(payload: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in payload.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn write_event(out: &mut String, ev: &TimedEvent) {
@@ -115,441 +83,152 @@ fn write_event(out: &mut String, ev: &TimedEvent) {
     }
 }
 
-/// Parses the line-oriented text format back into events.
-///
-/// Blank lines and lines starting with `#` are skipped. Lines carrying
-/// a trailing `~<hex>` checksum are verified against their payload;
-/// lines without one are accepted unverified.
-///
-/// # Errors
-/// Returns a [`ParseTraceError`] naming the first malformed line.
-pub fn from_text(text: &str) -> Result<Vec<TimedEvent>, ParseTraceError> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        out.push(parse_line(line, line_no)?);
-    }
-    Ok(out)
-}
-
-/// A trace recovered from damaged text by [`from_text_lossy`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SalvagedTrace {
-    /// Events of the longest valid prefix.
-    pub events: Vec<TimedEvent>,
-    /// Non-comment lines successfully parsed into events.
-    pub salvaged_lines: usize,
-    /// Non-comment lines dropped (the first malformed line and
-    /// everything after it).
-    pub dropped_lines: usize,
-    /// Non-comment, non-blank input lines seen — counted independently
-    /// of the salvage decisions, so `salvaged_lines + dropped_lines ==
-    /// total_lines` is a checkable invariant (blank and `#` comment
-    /// lines count in neither side nor the total).
-    pub total_lines: usize,
-    /// Human-readable descriptions of what was dropped and why
-    /// (empty when the whole text parsed cleanly).
-    pub warnings: Vec<String>,
-}
-
-impl SalvagedTrace {
-    /// Whether any line failed to parse (i.e. data was dropped).
-    pub fn is_damaged(&self) -> bool {
-        self.dropped_lines > 0
-    }
-
-    /// Records this salvage's accounting into `metrics` under the
-    /// `trace` prefix, where [`Metrics::audit`](crate::obs::Metrics::audit)
-    /// cross-checks `salvaged + dropped == total`.
-    pub fn observe_metrics(&self, metrics: &mut crate::obs::Metrics) {
-        metrics.record_salvage(
-            "trace",
-            self.salvaged_lines as u64,
-            self.dropped_lines as u64,
-            self.total_lines as u64,
-        );
-    }
-}
-
-/// Parses as much of a damaged trace as possible: the longest prefix of
-/// well-formed lines, stopping at the first malformed or
-/// checksum-mismatched line.
-///
-/// Everything from the first bad line onward is dropped — events after
-/// a corruption point cannot be trusted to belong where they appear —
-/// and described in [`SalvagedTrace::warnings`]. Never fails: feeding
-/// it arbitrary bytes yields an empty (or partial) event list.
-pub fn from_text_lossy(text: &str) -> SalvagedTrace {
-    let mut salvage = SalvagedTrace::default();
-    let mut first_error: Option<ParseTraceError> = None;
-    for (i, line) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        salvage.total_lines += 1;
-        if first_error.is_some() {
-            salvage.dropped_lines += 1;
-            continue;
-        }
-        match parse_line(line, line_no) {
-            Ok(ev) => {
-                salvage.events.push(ev);
-                salvage.salvaged_lines += 1;
-            }
-            Err(e) => {
-                salvage.dropped_lines += 1;
-                first_error = Some(e);
-            }
-        }
-    }
-    if let Some(e) = first_error {
-        salvage.warnings.push(format!(
-            "{e}; salvaged {} event(s), dropped {} line(s)",
-            salvage.salvaged_lines, salvage.dropped_lines
-        ));
-    }
-    salvage
-}
-
-fn parse_line(line: &str, line_no: usize) -> Result<TimedEvent, ParseTraceError> {
-    let err = |message: String| ParseTraceError {
-        line: line_no,
-        message,
-    };
-    // Split off and verify the optional trailing `~<hex>` checksum.
-    let line = match line.rsplit_once('~') {
-        Some((head, hex)) if head.ends_with(char::is_whitespace) => {
-            let payload = head.trim_end();
-            let declared = u64::from_str_radix(hex, 16)
-                .map_err(|e| err(format!("bad checksum `{hex}`: {e}")))?;
-            let actual = checksum(payload);
-            if actual != declared {
-                return Err(err(format!(
-                    "checksum mismatch: line declares {declared:x}, payload hashes to {actual:x}"
-                )));
-            }
-            payload
-        }
-        _ => line,
-    };
-    let mut parts = line.split_ascii_whitespace();
-    let next_u64 = |what: &str, parts: &mut std::str::SplitAsciiWhitespace<'_>| {
-        parts
-            .next()
-            .ok_or_else(|| err(format!("missing {what}")))?
-            .parse::<u64>()
-            .map_err(|e| err(format!("bad {what}: {e}")))
-    };
-    let time = next_u64("time", &mut parts)?;
-    let thread = ThreadId::new(next_u64("thread", &mut parts)? as u32);
-    let cost = next_u64("cost", &mut parts)?;
-    let kind = parts.next().ok_or_else(|| err("missing kind".into()))?;
-    let event = match kind {
-        "call" | "ret" => {
-            let r = RoutineId::new(next_u64("routine", &mut parts)? as u32);
-            if kind == "call" {
-                Event::Call { routine: r }
-            } else {
-                Event::Return { routine: r }
-            }
-        }
-        "rd" | "wr" | "u2k" | "k2u" => {
-            let addr = Addr::new(next_u64("addr", &mut parts)?);
-            let len = next_u64("len", &mut parts)? as u32;
-            match kind {
-                "rd" => Event::Read { addr, len },
-                "wr" => Event::Write { addr, len },
-                "u2k" => Event::UserToKernel { addr, len },
-                _ => Event::KernelToUser { addr, len },
-            }
-        }
-        "tstart" => {
-            let parent = parts
-                .next()
-                .map(|p| {
-                    p.parse::<u32>()
-                        .map(ThreadId::new)
-                        .map_err(|e| err(format!("bad parent: {e}")))
-                })
-                .transpose()?;
-            Event::ThreadStart { parent }
-        }
-        "texit" => Event::ThreadExit,
-        "bb" => {
-            let r = RoutineId::new(next_u64("routine", &mut parts)? as u32);
-            let b = BlockId::new(next_u64("block", &mut parts)? as u32);
-            Event::Block {
-                routine: r,
-                block: b,
-            }
-        }
-        "sync" => {
-            let op = parts.next().ok_or_else(|| err("missing sync op".into()))?;
-            let sync = match op {
-                "semw" => SyncOp::SemWait(next_u64("sem", &mut parts)? as u32),
-                "sems" => SyncOp::SemSignal(next_u64("sem", &mut parts)? as u32),
-                "mtxl" => SyncOp::MutexLock(next_u64("mutex", &mut parts)? as u32),
-                "mtxu" => SyncOp::MutexUnlock(next_u64("mutex", &mut parts)? as u32),
-                "cvw" => SyncOp::CondWait {
-                    cond: next_u64("cond", &mut parts)? as u32,
-                    mutex: next_u64("mutex", &mut parts)? as u32,
-                },
-                "cvs" => SyncOp::CondSignal(next_u64("cond", &mut parts)? as u32),
-                "cvb" => SyncOp::CondBroadcast(next_u64("cond", &mut parts)? as u32),
-                "spawn" => SyncOp::Spawn {
-                    child: ThreadId::new(next_u64("child", &mut parts)? as u32),
-                },
-                "join" => SyncOp::Join {
-                    child: ThreadId::new(next_u64("child", &mut parts)? as u32),
-                },
-                other => return Err(err(format!("unknown sync op `{other}`"))),
-            };
-            Event::Sync { op: sync }
-        }
-        other => return Err(err(format!("unknown event kind `{other}`"))),
-    };
-    if let Some(extra) = parts.next() {
-        return Err(err(format!("trailing token `{extra}`")));
-    }
-    Ok(TimedEvent {
-        time,
-        thread,
-        cost,
-        event,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{Addr, BlockId, RoutineId, ThreadId};
 
-    fn sample_events() -> Vec<TimedEvent> {
+    /// One event of every kind (every sync op included), each with the
+    /// payload it must render to.
+    fn cases() -> Vec<(TimedEvent, &'static str)> {
         let t = ThreadId::new(1);
+        let r = RoutineId::new(4);
+        let sync = |time, op| TimedEvent::new(time, t, 2, Event::Sync { op });
         vec![
-            TimedEvent::new(
-                1,
-                t,
-                0,
-                Event::ThreadStart {
-                    parent: Some(ThreadId::MAIN),
-                },
+            (
+                TimedEvent::new(0, ThreadId::MAIN, 0, Event::ThreadStart { parent: None }),
+                "0 0 0 tstart",
             ),
-            TimedEvent::new(
-                2,
-                t,
-                0,
-                Event::Call {
-                    routine: RoutineId::new(4),
-                },
+            (
+                TimedEvent::new(
+                    1,
+                    t,
+                    0,
+                    Event::ThreadStart {
+                        parent: Some(ThreadId::MAIN),
+                    },
+                ),
+                "1 1 0 tstart 0",
             ),
-            TimedEvent::new(
-                3,
-                t,
-                1,
-                Event::Block {
-                    routine: RoutineId::new(4),
-                    block: BlockId::new(0),
-                },
+            (
+                TimedEvent::new(2, t, 0, Event::Call { routine: r }),
+                "2 1 0 call 4",
             ),
-            TimedEvent::new(
-                4,
-                t,
-                1,
-                Event::Read {
-                    addr: Addr::new(100),
-                    len: 8,
-                },
+            (
+                TimedEvent::new(
+                    3,
+                    t,
+                    1,
+                    Event::Block {
+                        routine: r,
+                        block: BlockId::new(0),
+                    },
+                ),
+                "3 1 1 bb 4 0",
             ),
-            TimedEvent::new(
-                5,
-                t,
-                1,
-                Event::Write {
-                    addr: Addr::new(200),
-                    len: 1,
-                },
+            (
+                TimedEvent::new(
+                    4,
+                    t,
+                    1,
+                    Event::Read {
+                        addr: Addr::new(100),
+                        len: 8,
+                    },
+                ),
+                "4 1 1 rd 100 8",
             ),
-            TimedEvent::new(
-                6,
-                t,
-                2,
-                Event::KernelToUser {
-                    addr: Addr::new(300),
-                    len: 16,
-                },
+            (
+                TimedEvent::new(
+                    5,
+                    t,
+                    1,
+                    Event::Write {
+                        addr: Addr::new(200),
+                        len: 1,
+                    },
+                ),
+                "5 1 1 wr 200 1",
             ),
-            TimedEvent::new(
-                7,
-                t,
-                2,
-                Event::UserToKernel {
-                    addr: Addr::new(300),
-                    len: 16,
-                },
+            (
+                TimedEvent::new(
+                    6,
+                    t,
+                    2,
+                    Event::KernelToUser {
+                        addr: Addr::new(300),
+                        len: 16,
+                    },
+                ),
+                "6 1 2 k2u 300 16",
             ),
-            TimedEvent::new(
-                8,
-                t,
-                2,
-                Event::Sync {
-                    op: SyncOp::SemWait(3),
-                },
+            (
+                TimedEvent::new(
+                    7,
+                    t,
+                    2,
+                    Event::UserToKernel {
+                        addr: Addr::new(300),
+                        len: 16,
+                    },
+                ),
+                "7 1 2 u2k 300 16",
             ),
-            TimedEvent::new(
-                9,
-                t,
-                2,
-                Event::Sync {
-                    op: SyncOp::CondWait { cond: 1, mutex: 2 },
-                },
+            (sync(8, SyncOp::SemWait(3)), "8 1 2 sync semw 3"),
+            (sync(9, SyncOp::SemSignal(3)), "9 1 2 sync sems 3"),
+            (sync(10, SyncOp::MutexLock(5)), "10 1 2 sync mtxl 5"),
+            (sync(11, SyncOp::MutexUnlock(5)), "11 1 2 sync mtxu 5"),
+            (
+                sync(12, SyncOp::CondWait { cond: 1, mutex: 2 }),
+                "12 1 2 sync cvw 1 2",
             ),
-            TimedEvent::new(
-                10,
-                t,
-                2,
-                Event::Sync {
-                    op: SyncOp::Spawn {
+            (sync(13, SyncOp::CondSignal(1)), "13 1 2 sync cvs 1"),
+            (sync(14, SyncOp::CondBroadcast(1)), "14 1 2 sync cvb 1"),
+            (
+                sync(
+                    15,
+                    SyncOp::Spawn {
                         child: ThreadId::new(2),
                     },
-                },
+                ),
+                "15 1 2 sync spawn 2",
             ),
-            TimedEvent::new(
-                11,
-                t,
-                3,
-                Event::Return {
-                    routine: RoutineId::new(4),
-                },
+            (
+                sync(
+                    16,
+                    SyncOp::Join {
+                        child: ThreadId::new(2),
+                    },
+                ),
+                "16 1 2 sync join 2",
             ),
-            TimedEvent::new(12, t, 3, Event::ThreadExit),
+            (
+                TimedEvent::new(17, t, 3, Event::Return { routine: r }),
+                "17 1 3 ret 4",
+            ),
+            (TimedEvent::new(18, t, 3, Event::ThreadExit), "18 1 3 texit"),
         ]
     }
 
     #[test]
-    fn roundtrip_all_event_kinds() {
-        let evs = sample_events();
-        let text = to_text(&evs);
-        let back = from_text(&text).expect("parse");
-        assert_eq!(back, evs);
-    }
-
-    #[test]
-    fn roundtrip_main_thread_start_without_parent() {
-        let evs = vec![TimedEvent::new(
-            0,
-            ThreadId::MAIN,
-            0,
-            Event::ThreadStart { parent: None },
-        )];
-        assert_eq!(from_text(&to_text(&evs)).unwrap(), evs);
-    }
-
-    #[test]
-    fn skips_blank_and_comment_lines() {
-        let text = "# header\n\n1 0 0 texit\n";
-        let evs = from_text(text).unwrap();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].event, Event::ThreadExit);
-    }
-
-    #[test]
-    fn reports_line_numbers_on_errors() {
-        let text = "1 0 0 texit\n2 0 0 bogus\n";
-        let e = from_text(text).unwrap_err();
-        assert_eq!(e.line, 2);
-        assert!(e.to_string().contains("bogus"));
-    }
-
-    #[test]
-    fn rejects_trailing_tokens() {
-        let e = from_text("1 0 0 texit junk").unwrap_err();
-        assert!(e.message.contains("trailing"));
-    }
-
-    #[test]
-    fn rejects_missing_fields() {
-        assert!(from_text("1 0 0 rd 5").is_err());
-        assert!(from_text("1 0").is_err());
-        assert!(from_text("x 0 0 texit").is_err());
+    fn renders_every_event_kind() {
+        let (events, payloads): (Vec<_>, Vec<_>) = cases().into_iter().unzip();
+        let text = to_text(&events);
+        let got: Vec<&str> = text
+            .lines()
+            .map(|l| l.rsplit_once(" ~").expect("checksum token").0)
+            .collect();
+        assert_eq!(got, payloads);
     }
 
     #[test]
     fn serialized_lines_carry_checksums() {
-        let text = to_text(&sample_events());
+        let events: Vec<TimedEvent> = cases().into_iter().map(|(e, _)| e).collect();
+        let text = to_text(&events);
+        assert_eq!(text.lines().count(), events.len());
         for line in text.lines() {
-            let (_, hex) = line.rsplit_once('~').expect("checksum token");
-            assert!(u64::from_str_radix(hex, 16).is_ok(), "hex checksum: {line}");
+            let (payload, hex) = line.rsplit_once(" ~").expect("checksum token");
+            assert_eq!(hex, format!("{:x}", fnv1a(payload.as_bytes())), "{line}");
         }
-    }
-
-    #[test]
-    fn detects_payload_bit_flips() {
-        let evs = sample_events();
-        let text = to_text(&evs);
-        // Corrupt one digit of the fourth line's address field.
-        let corrupted = text.replacen("100 8", "108 8", 1);
-        assert_ne!(corrupted, text, "corruption applied");
-        let e = from_text(&corrupted).unwrap_err();
-        assert!(e.message.contains("checksum mismatch"), "{e}");
-    }
-
-    #[test]
-    fn lossy_parse_of_clean_text_has_no_warnings() {
-        let evs = sample_events();
-        let s = from_text_lossy(&to_text(&evs));
-        assert_eq!(s.events, evs);
-        assert!(!s.is_damaged());
-        assert_eq!(s.salvaged_lines, evs.len());
-        assert_eq!(s.dropped_lines, 0);
-    }
-
-    #[test]
-    fn lossy_parse_salvages_prefix_before_corruption() {
-        let evs = sample_events();
-        let text = to_text(&evs);
-        // Flip a byte in the fifth line; everything after it is dropped.
-        let mut lines: Vec<String> = text.lines().map(String::from).collect();
-        lines[4] = lines[4].replacen('w', "q", 1);
-        let s = from_text_lossy(&lines.join("\n"));
-        assert_eq!(s.events, evs[..4].to_vec());
-        assert!(s.is_damaged());
-        assert_eq!(s.salvaged_lines, 4);
-        assert_eq!(s.dropped_lines, evs.len() - 4);
-        assert_eq!(s.warnings.len(), 1);
-        assert!(s.warnings[0].contains("line 5"), "{}", s.warnings[0]);
-        assert!(s.warnings[0].contains("salvaged 4"), "{}", s.warnings[0]);
-    }
-
-    #[test]
-    fn lossy_parse_of_truncated_capture_recovers_whole_lines() {
-        let evs = sample_events();
-        let text = to_text(&evs);
-        // Simulate a capture cut off mid-write: keep 60% of the bytes.
-        let cut = &text[..text.len() * 6 / 10];
-        let s = from_text_lossy(cut);
-        assert!(!s.events.is_empty(), "some events survive");
-        assert!(s.events.len() < evs.len(), "some events were lost");
-        assert_eq!(s.events, evs[..s.events.len()].to_vec(), "valid prefix");
-    }
-
-    #[test]
-    fn lossy_parse_of_garbage_is_empty_not_a_panic() {
-        let s = from_text_lossy("not a trace\n\u{1F980} bytes ~zz\n");
-        assert!(s.events.is_empty());
-        assert!(s.is_damaged());
-        assert_eq!(s.salvaged_lines, 0);
-        assert_eq!(s.dropped_lines, 2);
-    }
-
-    #[test]
-    fn checksum_less_lines_remain_accepted() {
-        let evs = from_text("1 0 0 texit\n").unwrap();
-        assert_eq!(evs[0].event, Event::ThreadExit);
     }
 }

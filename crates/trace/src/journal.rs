@@ -6,8 +6,8 @@
 //! was durably written when the process is killed mid-grid.
 //!
 //! The format is a length-framed sibling of the `.trace`/`.sched` line
-//! codecs and reuses their FNV-1a checksum and lossy-prefix-salvage
-//! idioms, extended to multi-line payloads:
+//! formats and carries the same FNV-1a checksums, extended to
+//! multi-line payloads:
 //!
 //! ```text
 //! # drms-journal v1
@@ -29,11 +29,12 @@
 //!
 //! [`from_text`] fails on the first damaged record; [`from_text_lossy`]
 //! salvages the longest valid prefix — everything before the first
-//! corrupt or torn record — mirroring the trace/sched codecs. A journal
-//! is append-only: re-recording a unit of work appends a fresh record,
-//! and readers let the *last* record for a key win.
+//! corrupt or torn record — mirroring the binary shard reader
+//! ([`ShardSet::load`](crate::shard::ShardSet::load)). A journal is
+//! append-only: re-recording a unit of work appends a fresh record, and
+//! readers let the *last* record for a key win.
 
-use crate::codec::checksum;
+use crate::fnv::fnv1a;
 use crate::obs::Metrics;
 
 /// The first line of every journal file.
@@ -80,9 +81,9 @@ pub fn encode_record(meta: &str, payload: &str) -> String {
     let header = format!("@rec {meta} %{}", payload.len());
     let mut out = String::with_capacity(header.len() + payload.len() + 32);
     out.push_str(&header);
-    out.push_str(&format!(" ~{:x}\n", checksum(&header)));
+    out.push_str(&format!(" ~{:x}\n", fnv1a(header.as_bytes())));
     out.push_str(payload);
-    out.push_str(&format!("\n@end ~{:x}\n", checksum(payload)));
+    out.push_str(&format!("\n@end ~{:x}\n", fnv1a(payload.as_bytes())));
     out
 }
 
@@ -110,8 +111,7 @@ pub fn from_text(text: &str) -> Result<Vec<JournalRecord>, ParseJournalError> {
 
 /// Result of a lossy journal parse: the longest valid prefix of records
 /// plus the salvage accounting, mirroring
-/// [`SalvagedTrace`](crate::codec::SalvagedTrace) /
-/// [`SalvagedSchedule`](crate::sched::SalvagedSchedule).
+/// [`ShardSet`](crate::shard::ShardSet).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SalvagedJournal {
     /// Records recovered from the valid prefix.
@@ -251,7 +251,7 @@ fn parse_record_at(
         return Err(format!("expected `@rec` header, found `{line}`"));
     }
     match u64::from_str_radix(want_sum, 16) {
-        Ok(sum) if sum == checksum(header_payload) => {}
+        Ok(sum) if sum == fnv1a(header_payload.as_bytes()) => {}
         _ => return Err(format!("record header checksum mismatch: `{line}`")),
     }
     let body = &header_payload["@rec ".len()..];
@@ -281,7 +281,7 @@ fn parse_record_at(
         None => return Err("record trailer truncated".to_string()),
     };
     pos = next;
-    let want = format!("@end ~{:x}", checksum(payload));
+    let want = format!("@end ~{:x}", fnv1a(payload.as_bytes()));
     if trailer != want {
         return Err(format!(
             "payload checksum mismatch: expected `{want}`, found `{trailer}`"

@@ -14,8 +14,12 @@
 //! * [`replay()`] — feeding a merged trace back into an [`EventSink`], the
 //!   consumer-side trait implemented by profilers, with `switchThread`
 //!   notifications synthesized between events of different threads;
-//! * [`codec`] — a plain-text serialization of traces for golden tests and
-//!   offline analysis.
+//! * [`shard`] — the on-disk trace: per-thread checksummed binary shards,
+//!   salvaged and replayed offline;
+//! * [`codec`] — a plain-text rendering of merged traces for people and
+//!   byte-identity fingerprints;
+//! * [`fnv`] — the FNV-1a hash behind every checksum and fingerprint, and
+//!   the profilers' map hasher.
 //!
 //! The design mirrors the paper's model: the profiler is given per-thread
 //! traces of timestamped operations, which are logically merged into one
@@ -38,6 +42,7 @@
 
 pub mod codec;
 pub mod event;
+pub mod fnv;
 pub mod hostio;
 pub mod ids;
 pub mod journal;
@@ -49,7 +54,6 @@ pub mod shard;
 pub mod stats;
 pub mod trace;
 
-pub use codec::{from_text, from_text_lossy, to_text, ParseTraceError, SalvagedTrace};
 pub use event::{Event, SyncOp, TimedEvent};
 pub use hostio::{HostFaultPlan, HostFaultSpecError, HostIo};
 pub use ids::{Addr, BlockId, NameTable, RoutineId, ThreadId};
@@ -57,7 +61,7 @@ pub use journal::{JournalRecord, ParseJournalError, SalvagedJournal};
 pub use merge::{merge_traces, merge_traces_with_ties, TieBreaker};
 pub use obs::{Histogram, MergeError, Metrics};
 pub use replay::{replay, EventSink};
-pub use sched::{PreemptCause, SalvagedSchedule, SchedDecision, Schedule};
+pub use sched::{PreemptCause, SchedDecision, Schedule};
 pub use shard::{
     SalvagedShard, ShardBatchKind, ShardEvent, ShardFrame, ShardPayload, ShardSet, ShardSummary,
     ShardWriter,

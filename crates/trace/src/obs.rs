@@ -243,7 +243,7 @@ impl Metrics {
     }
 
     /// Records the accounting of one lossy-salvage pass under `prefix`
-    /// (e.g. `trace` or `sched`): `<prefix>.lines.salvaged`,
+    /// (e.g. `journal` or `trace.shard`): `<prefix>.lines.salvaged`,
     /// `<prefix>.lines.dropped` and `<prefix>.lines.total`, which
     /// [`audit`](Self::audit) cross-checks (`salvaged + dropped == total`).
     pub fn record_salvage(&mut self, prefix: &str, salvaged: u64, dropped: u64, total: u64) {

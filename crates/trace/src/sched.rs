@@ -10,7 +10,7 @@
 //!
 //! # Text format
 //!
-//! Like the event codec, one record per line with a trailing FNV-1a
+//! Like the event trace text, one record per line with a trailing FNV-1a
 //! `~<hex>` checksum:
 //!
 //! ```text
@@ -22,10 +22,9 @@
 //! Cause mnemonics: `q` quantum expiry, `s` sync-point preemption, `k`
 //! kernel-transfer preemption, `b` thread blocked, `y` thread yielded,
 //! `x` thread exited, `a` run aborted mid-slice. [`from_text`] fails on
-//! the first bad line; [`from_text_lossy`] salvages the longest valid
-//! prefix and reports how many lines were kept vs dropped.
+//! the first bad line.
 
-use crate::codec::checksum;
+use crate::fnv::fnv1a;
 use crate::ids::ThreadId;
 use std::fmt;
 
@@ -244,10 +243,13 @@ impl std::error::Error for ParseSchedError {}
 pub fn to_text(schedule: &Schedule) -> String {
     let mut out = String::from("# drms-sched v1\n");
     let quantum_line = format!("quantum {}", schedule.quantum);
-    out.push_str(&format!("{quantum_line} ~{:x}\n", checksum(&quantum_line)));
+    out.push_str(&format!(
+        "{quantum_line} ~{:x}\n",
+        fnv1a(quantum_line.as_bytes())
+    ));
     for d in &schedule.decisions {
         let line = format!("{} {} {}", d.thread.index(), d.steps, d.cause.token());
-        out.push_str(&format!("{line} ~{:x}\n", checksum(&line)));
+        out.push_str(&format!("{line} ~{:x}\n", fnv1a(line.as_bytes())));
     }
     out
 }
@@ -264,7 +266,7 @@ fn verify_checksum(line: &str, line_no: usize) -> Result<&str, ParseSchedError> 
             let payload = head.trim_end();
             let declared = u64::from_str_radix(hex, 16)
                 .map_err(|e| err(format!("bad checksum `{hex}`: {e}")))?;
-            let actual = checksum(payload);
+            let actual = fnv1a(payload.as_bytes());
             if actual != declared {
                 return Err(err(format!(
                     "checksum mismatch: line declares {declared:x}, payload hashes to {actual:x}"
@@ -305,23 +307,6 @@ fn parse_decision(payload: &str, line_no: usize) -> Result<SchedDecision, ParseS
     })
 }
 
-/// Parses one non-comment line: either the `quantum N` header or a
-/// decision. Returns `(quantum, None)` or `(None, decision)`.
-fn parse_sched_line(
-    line: &str,
-    line_no: usize,
-) -> Result<(Option<u32>, Option<SchedDecision>), ParseSchedError> {
-    let payload = verify_checksum(line, line_no)?;
-    if let Some(q) = payload.strip_prefix("quantum ") {
-        let quantum = q.trim().parse::<u32>().map_err(|e| ParseSchedError {
-            line: line_no,
-            message: format!("bad quantum: {e}"),
-        })?;
-        return Ok((Some(quantum), None));
-    }
-    Ok((None, Some(parse_decision(payload, line_no)?)))
-}
-
 /// Parses the text format back into a [`Schedule`].
 ///
 /// Blank lines and `#` comments are skipped. Lines carrying a `~<hex>`
@@ -337,95 +322,17 @@ pub fn from_text(text: &str) -> Result<Schedule, ParseSchedError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        match parse_sched_line(line, line_no)? {
-            (Some(q), _) => schedule.quantum = q,
-            (_, Some(d)) => schedule.push(d),
-            _ => unreachable!("parse_sched_line yields a quantum or a decision"),
+        let payload = verify_checksum(line, line_no)?;
+        if let Some(q) = payload.strip_prefix("quantum ") {
+            schedule.quantum = q.trim().parse::<u32>().map_err(|e| ParseSchedError {
+                line: line_no,
+                message: format!("bad quantum: {e}"),
+            })?;
+        } else {
+            schedule.push(parse_decision(payload, line_no)?);
         }
     }
     Ok(schedule)
-}
-
-/// A schedule recovered from damaged text by [`from_text_lossy`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SalvagedSchedule {
-    /// The longest valid prefix of the schedule.
-    pub schedule: Schedule,
-    /// Non-comment lines successfully parsed.
-    pub salvaged_lines: usize,
-    /// Non-comment lines dropped (the first malformed line and
-    /// everything after it).
-    pub dropped_lines: usize,
-    /// Non-comment, non-blank input lines seen — counted independently
-    /// of the salvage decisions, so `salvaged_lines + dropped_lines ==
-    /// total_lines` is a checkable invariant (blank and `#` comment
-    /// lines count in neither side nor the total).
-    pub total_lines: usize,
-    /// Human-readable description of what was dropped and why (empty
-    /// when the whole text parsed cleanly).
-    pub warnings: Vec<String>,
-}
-
-impl SalvagedSchedule {
-    /// Whether any line failed to parse (i.e. data was dropped).
-    pub fn is_damaged(&self) -> bool {
-        self.dropped_lines > 0
-    }
-
-    /// Records this salvage's accounting into `metrics` under the
-    /// `sched` prefix, where [`Metrics::audit`](crate::obs::Metrics::audit)
-    /// cross-checks `salvaged + dropped == total`.
-    pub fn observe_metrics(&self, metrics: &mut crate::obs::Metrics) {
-        metrics.record_salvage(
-            "sched",
-            self.salvaged_lines as u64,
-            self.dropped_lines as u64,
-            self.total_lines as u64,
-        );
-    }
-}
-
-/// Parses as much of a damaged schedule as possible: the longest prefix
-/// of well-formed lines. Decisions after a corruption point cannot be
-/// trusted to belong where they appear, so everything from the first bad
-/// line onward is dropped and counted. Never fails.
-pub fn from_text_lossy(text: &str) -> SalvagedSchedule {
-    let mut salvage = SalvagedSchedule::default();
-    let mut first_error: Option<ParseSchedError> = None;
-    for (i, line) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        salvage.total_lines += 1;
-        if first_error.is_some() {
-            salvage.dropped_lines += 1;
-            continue;
-        }
-        match parse_sched_line(line, line_no) {
-            Ok((Some(q), _)) => {
-                salvage.schedule.quantum = q;
-                salvage.salvaged_lines += 1;
-            }
-            Ok((_, Some(d))) => {
-                salvage.schedule.push(d);
-                salvage.salvaged_lines += 1;
-            }
-            Ok(_) => unreachable!("parse_sched_line yields a quantum or a decision"),
-            Err(e) => {
-                salvage.dropped_lines += 1;
-                first_error = Some(e);
-            }
-        }
-    }
-    if let Some(e) = first_error {
-        salvage.warnings.push(format!(
-            "{e}; salvaged {} line(s), dropped {}",
-            salvage.salvaged_lines, salvage.dropped_lines
-        ));
-    }
-    salvage
 }
 
 #[cfg(test)]
@@ -518,46 +425,5 @@ mod tests {
         let s = from_text("quantum 9\n0 3 q\n").unwrap();
         assert_eq!(s.quantum, 9);
         assert_eq!(s.decisions.len(), 1);
-    }
-
-    #[test]
-    fn lossy_parse_reports_salvaged_and_dropped_counts() {
-        let s = sample();
-        let text = to_text(&s);
-        let clean = from_text_lossy(&text);
-        assert!(!clean.is_damaged());
-        // header + decisions all count as salvaged lines
-        assert_eq!(clean.salvaged_lines, 1 + s.decisions.len());
-        assert_eq!(clean.dropped_lines, 0);
-        assert_eq!(clean.schedule, s);
-
-        // Corrupt the second decision line (lines[0] is the `#` header
-        // comment, [1] the quantum, [2..] decisions); it and everything
-        // after drop.
-        let mut lines: Vec<String> = text.lines().map(String::from).collect();
-        lines[3] = lines[3].replacen(' ', "_", 1);
-        let damaged = from_text_lossy(&lines.join("\n"));
-        assert!(damaged.is_damaged());
-        assert_eq!(damaged.schedule.decisions.len(), 1);
-        assert_eq!(damaged.salvaged_lines, 2, "quantum + one decision");
-        assert_eq!(damaged.dropped_lines, 5);
-        assert_eq!(damaged.warnings.len(), 1);
-        assert!(
-            damaged.warnings[0].contains("salvaged 2"),
-            "{:?}",
-            damaged.warnings
-        );
-        assert!(
-            damaged.warnings[0].contains("dropped 5"),
-            "{:?}",
-            damaged.warnings
-        );
-    }
-
-    #[test]
-    fn lossy_parse_of_garbage_never_panics() {
-        let s = from_text_lossy("complete nonsense\n\u{1F980}\n");
-        assert!(s.schedule.is_empty());
-        assert!(s.is_damaged());
     }
 }

@@ -44,6 +44,7 @@
 //! dropped frame.
 
 use crate::event::SyncOp;
+use crate::fnv::fnv1a;
 use crate::hostio::HostIo;
 use crate::ids::{Addr, BlockId, RoutineId, ThreadId};
 use crate::obs::Metrics;
@@ -84,17 +85,6 @@ const K_BATCH: u8 = 11;
 /// On-disk encoding of `Option<ThreadId>`: no 32-bit thread index can
 /// reach `u32::MAX` (it would be the 2^32-th spawned thread).
 const NO_THREAD: u32 = u32::MAX;
-
-/// FNV-1a over raw bytes — the binary sibling of the text codec's
-/// per-line checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Kind of one batched read/write entry, as stored in a `BATCH` frame.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -671,8 +661,7 @@ impl ShardWriter {
 pub struct SalvagedShard {
     /// File name inside the shard directory.
     pub name: String,
-    /// Owning thread (from the header, or the file name if the header
-    /// itself was torn).
+    /// Owning thread, from the file name (the header must agree).
     pub thread: ThreadId,
     /// The checksummed frame prefix, in record order.
     pub frames: Vec<ShardFrame>,
@@ -684,17 +673,22 @@ pub struct SalvagedShard {
 
 /// Parses one shard image, salvaging the longest checksummed prefix.
 fn parse_shard(name: &str, bytes: &[u8]) -> SalvagedShard {
-    let fallback = thread_of_name(name).unwrap_or(ThreadId::MAIN);
-    if bytes.len() < FILE_HEADER_BYTES || bytes[..8] != SHARD_MAGIC {
+    let thread = thread_of_name(name).unwrap_or(ThreadId::MAIN);
+    // The header's thread id is outside every checksum: one that
+    // disagrees with the file name is corruption, and trusting it would
+    // replay the frames as some other (possibly huge) thread.
+    if bytes.len() < FILE_HEADER_BYTES
+        || bytes[..8] != SHARD_MAGIC
+        || bytes[8..12] != thread.index().to_le_bytes()
+    {
         return SalvagedShard {
             name: name.to_owned(),
-            thread: fallback,
+            thread,
             frames: Vec::new(),
             bytes: 0,
             torn: true,
         };
     }
-    let thread = ThreadId::new(u32::from_le_bytes(bytes[8..12].try_into().unwrap()));
     let mut frames = Vec::new();
     let mut pos = FILE_HEADER_BYTES;
     let mut torn = false;
@@ -1097,6 +1091,31 @@ mod tests {
         let torn = ShardSet::load(&dir, 1).unwrap();
         assert_eq!(torn.dropped, 1, "a tear without a manifest counts once");
         assert_eq!(torn.salvaged + torn.dropped, torn.total);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_header_thread_disagreeing_with_the_file_name_is_corruption() {
+        let dir = tmp_dir("badthread");
+        let io = HostIo::real();
+        let mut w = ShardWriter::create(&io, &dir, usize::MAX).unwrap();
+        for &(t, e) in &sample_events() {
+            w.record_event(t, e);
+        }
+        w.finish().unwrap();
+
+        // Flip the top byte of shard-1's header thread id (offset 8..12).
+        let victim = dir.join("shard-1.bin");
+        let mut bytes = std::fs::read(&victim).unwrap();
+        bytes[11] ^= 0x80;
+        std::fs::write(&victim, &bytes).unwrap();
+
+        let set = ShardSet::load(&dir, 1).unwrap();
+        let shard = set.shards.iter().find(|s| s.name == "shard-1.bin").unwrap();
+        assert_eq!(shard.thread, ThreadId::new(1));
+        assert!(shard.torn && shard.frames.is_empty());
+        assert!(set.frames_in_order().iter().all(|f| f.thread.index() <= 1));
+        assert_eq!((set.salvaged, set.dropped, set.total), (5, 3, 8));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,10 +1,10 @@
 //! Cross-crate integration tests: online vs offline profiling
-//! equivalence, trace serialization, facade workflows, and end-to-end
-//! cost-function estimation on the bundled workloads.
+//! equivalence, facade workflows, and end-to-end cost-function
+//! estimation on the bundled workloads.
 
 use drms::analysis::{CostPlot, InputMetric, Model};
 use drms::core::{DrmsConfig, DrmsProfiler};
-use drms::trace::{codec, merge_traces, replay};
+use drms::trace::{merge_traces, replay};
 use drms::vm::{run_program, TraceRecorder, Vm};
 use drms::workloads::{self, Workload};
 
@@ -44,24 +44,6 @@ fn online_offline_equivalence_across_workloads() {
     ] {
         online_equals_offline(&w);
     }
-}
-
-#[test]
-fn trace_codec_roundtrips_a_real_execution() {
-    let w = workloads::patterns::producer_consumer(6);
-    let mut recorder = TraceRecorder::new();
-    run_program(&w.program, w.run_config(), &mut recorder).expect("run");
-    let merged = merge_traces(recorder.into_traces());
-    let text = codec::to_text(&merged);
-    let back = codec::from_text(&text).expect("parse recorded trace");
-    assert_eq!(back, merged);
-
-    // Replaying the parsed trace still yields the same profile.
-    let mut a = DrmsProfiler::new(DrmsConfig::full());
-    replay(&merged, &mut a);
-    let mut b = DrmsProfiler::new(DrmsConfig::full());
-    replay(&back, &mut b);
-    assert_eq!(a.into_report(), b.into_report());
 }
 
 #[test]

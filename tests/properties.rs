@@ -6,20 +6,21 @@
 //!   set-based oracle (Figure 7 vs Figure 8) on arbitrary interleavings;
 //! * timestamp renumbering never changes profiles;
 //! * `drms ≥ rms` on every activation (paper Inequality 1);
-//! * the trace codec round-trips arbitrary traces;
+//! * binary trace shards round-trip arbitrary traces;
 //! * merging preserves per-thread subsequences;
 //! * injected kernel faults do not change the cost-function shape of a
 //!   retrying workload (metamorphic);
-//! * corrupted trace text never panics the codec and salvage yields a
-//!   valid prefix.
+//! * corrupted trace shards never panic the loader, and what it salvages
+//!   obeys `salvaged + dropped == total` and replays cleanly.
 
 use drms::analysis::{CostPlot, InputMetric};
 use drms::core::{DrmsConfig, DrmsProfiler, NaiveProfiler, RmsProfiler};
 use drms::trace::{
-    codec, merge_traces, merge_traces_with_ties, replay, Addr, Event, RoutineId, ThreadId,
-    ThreadTrace, TieBreaker, TimedEvent,
+    merge_traces, merge_traces_with_ties, replay, Addr, Event, HostIo, RoutineId, ShardSet,
+    ShardWriter, ThreadId, ThreadTrace, TieBreaker, TimedEvent,
 };
-use drms::vm::{FaultPlan, SmallRng};
+use drms::vm::{FaultPlan, ShardRecorder, SmallRng};
+use std::path::{Path, PathBuf};
 
 const CASES: u64 = 64;
 
@@ -233,14 +234,44 @@ fn static_only_drms_equals_rms() {
     }
 }
 
+/// A fresh per-test, per-case shard directory.
+fn shard_dir(test: &str, case: u64) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("drms-prop-{test}-{}-{case}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Replays a merged trace into a shard recorder under `dir` and returns
+/// the number of frames written. A small spill threshold makes every
+/// shard span several flushes.
+fn spill(merged: &[TimedEvent], dir: &Path) -> u64 {
+    let writer = ShardWriter::create(&HostIo::real(), dir, 256).expect("create shards");
+    let mut recorder = ShardRecorder::new(writer);
+    replay(merged, &mut recorder);
+    recorder.finish().expect("finish shards").frames
+}
+
+/// The shard codec round-trips arbitrary traces: replaying the loaded
+/// shards profiles exactly like replaying the merged trace directly.
 #[test]
 fn codec_roundtrips_arbitrary_traces() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0xC0DEC ^ case);
         let merged = merge_traces(random_interleaving(&mut rng));
-        let text = codec::to_text(&merged);
-        let back = codec::from_text(&text).expect("parse");
-        assert_eq!(back, merged, "case {case}");
+        let dir = shard_dir("roundtrip", case);
+        let frames = spill(&merged, &dir);
+        let set = ShardSet::load(&dir, 2).expect("load shards");
+        assert_eq!((set.salvaged, set.dropped), (frames, 0), "case {case}");
+        let mut direct = DrmsProfiler::new(DrmsConfig::full());
+        replay(&merged, &mut direct);
+        let mut from_shards = DrmsProfiler::new(DrmsConfig::full());
+        set.replay(&mut from_shards);
+        assert_eq!(
+            from_shards.into_report(),
+            direct.into_report(),
+            "case {case}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -331,43 +362,49 @@ fn fault_injection_preserves_cost_function_shape() {
     }
 }
 
-/// Corrupting serialized traces (single-byte replacement or truncation)
-/// never panics the codec: strict parsing reports a structured error and
-/// lossy parsing salvages a prefix that still replays cleanly.
+/// Corrupting one shard file (a single-byte flip or a truncation, at a
+/// random offset) never panics the loader: the salvage accounts for
+/// every frame the manifest lists, each shard keeps a prefix of its
+/// clean frames, and the salvaged frames replay into the profiler
+/// without panicking.
 #[test]
-fn corrupted_trace_text_never_panics() {
+fn corrupted_shards_never_panic() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0xBADC0DE ^ case);
         let merged = merge_traces(random_interleaving(&mut rng));
-        let text = codec::to_text(&merged);
-        if text.is_empty() {
+        if merged.is_empty() {
             continue;
         }
-        let corrupted = if rng.gen_ratio(1, 2) {
-            // Replace one byte with 'X' (trace text is pure ASCII).
-            let i = rng.gen_range(0usize..text.len());
-            let mut bytes = text.clone().into_bytes();
-            bytes[i] = b'X';
-            String::from_utf8(bytes).expect("still ASCII")
+        let dir = shard_dir("corrupt", case);
+        let frames = spill(&merged, &dir);
+        let clean = ShardSet::load(&dir, 1).expect("load clean shards");
+        let mut shards: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .expect("shard dir")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "bin"))
+            .collect();
+        shards.sort();
+        let victim = &shards[rng.gen_range(0usize..shards.len())];
+        let mut bytes = std::fs::read(victim).expect("read shard");
+        let i = rng.gen_range(0usize..bytes.len());
+        if rng.gen_ratio(1, 2) {
+            bytes[i] ^= rng.gen_range(1u32..256) as u8;
         } else {
-            // Truncate mid-stream, as a crashed capture would.
-            let i = rng.gen_range(0usize..text.len());
-            text[..i].to_owned()
-        };
-        // Strict parsing returns a structured result either way.
-        let _ = codec::from_text(&corrupted);
-        // Lossy parsing salvages a prefix no longer than the original...
-        let salvage = codec::from_text_lossy(&corrupted);
-        assert!(salvage.events.len() <= merged.len(), "case {case}");
-        // ...whose fully-intact lines are exactly the original prefix
-        // (the final salvaged event of a truncated text may itself be a
-        // truncated-but-well-formed line, so compare all but the last).
-        let intact = salvage.events.len().saturating_sub(1);
-        assert_eq!(&salvage.events[..intact], &merged[..intact], "case {case}");
-        // ...and which the analysis pipeline accepts without panicking.
+            bytes.truncate(i);
+        }
+        std::fs::write(victim, &bytes).expect("corrupt shard");
+
+        let set = ShardSet::load(&dir, 2).expect("load shards");
+        assert_eq!(set.salvaged + set.dropped, set.total, "case {case}");
+        assert_eq!(set.total, frames, "case {case}");
+        for (got, want) in set.shards.iter().zip(&clean.shards) {
+            assert_eq!(got.name, want.name, "case {case}");
+            assert_eq!(got.frames, want.frames[..got.frames.len()], "case {case}");
+        }
         let mut prof = DrmsProfiler::new(DrmsConfig::full());
-        replay(&salvage.events, &mut prof);
+        set.replay(&mut prof);
         let _ = prof.into_report();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
